@@ -30,7 +30,6 @@ from .errors import (
     TooLarge,
 )
 from .graph import (
-    DegreeConvention,
     FeatureMatrix,
     SignedWeightedDigraph,
     fixture_path,

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import NetinstabError
+from .errors import BadParameter, NetinstabError
 from .report import (
     METHODS,
     AnalysisConfig,
@@ -24,7 +24,7 @@ from .report import (
 
 def _parse_methods(raw: str) -> tuple[str, ...]:
     if raw.strip() == "all":
-        return METHODS
+        return tuple(METHODS)
     return tuple(m.strip() for m in raw.split(",") if m.strip())
 
 
@@ -83,7 +83,10 @@ def main(argv=None) -> int:
         if not summary_path.exists():
             print(f"error: summary file not found: {summary_path}", file=sys.stderr)
             return 1
-        summary = json.loads(summary_path.read_text())
+        try:
+            summary = json.loads(summary_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise BadParameter(f"summary file is not valid JSON: {exc}") from exc
         report = concordance_from_summary(summary, args.top_k)
         print(json.dumps(concordance_to_dict(report), indent=2, sort_keys=True))
         return 0

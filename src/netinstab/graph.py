@@ -9,8 +9,7 @@ operation returns a new value, so concurrent reads are safe.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +19,6 @@ from .errors import BadNode, BadParameter, MalformedModel
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 _FIXTURE_ALIAS = "piezo"
 _VARIANTS = ("appendix", "printed")
-
-
-class DegreeConvention(Enum):
-    """How a node's degree is counted.
-
-    TOTAL_WITH_SELF_LOOPS_BOTH_WAYS: number of nonzero entries in the node's
-    row plus number of nonzero entries in its column; a self-loop therefore
-    contributes 2. This is the only convention required by the analyses here.
-    """
-
-    TOTAL_WITH_SELF_LOOPS_BOTH_WAYS = "total_with_self_loops_both_ways"
 
 
 @dataclass(frozen=True)
@@ -114,15 +102,13 @@ def load_model(source, variant: str = "appendix") -> tuple[SignedWeightedDigraph
     """Load a model file and return its graph and feature matrix.
 
     `source` is either a path to a model JSON document or the bundled-fixture
-    alias "piezo"; for the alias (or a path inside the bundled fixture
-    directory) `variant` selects which fixture file is read. For any other
-    path the document is loaded as-is and `variant` has no effect.
+    alias "piezo". For the alias `variant` selects which fixture file is read;
+    a path, including one to a bundled fixture file, is loaded as-is and
+    `variant` has no effect.
     """
     if variant not in _VARIANTS:
         raise BadParameter(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    path = Path(source)
-    if str(source) == _FIXTURE_ALIAS or path.parent == _FIXTURE_DIR:
-        path = fixture_path(variant)
+    path = fixture_path(variant) if str(source) == _FIXTURE_ALIAS else Path(source)
     if not path.exists():
         raise MalformedModel(f"model file not found: {path}")
     try:
@@ -172,11 +158,7 @@ def save_model(path, graph: SignedWeightedDigraph, features: FeatureMatrix) -> N
     Path(path).write_text(json.dumps(model_to_dict(graph, features), indent=1))
 
 
-def total_degree(
-    graph: SignedWeightedDigraph,
-    node: int,
-    convention: DegreeConvention = DegreeConvention.TOTAL_WITH_SELF_LOOPS_BOTH_WAYS,
-) -> int:
+def total_degree(graph: SignedWeightedDigraph, node: int) -> int:
     """Count of nonzero entries in the node's row plus those in its column.
 
     A self-loop appears in both the row and the column, so it contributes 2.

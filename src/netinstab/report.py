@@ -1,26 +1,24 @@
 """Analysis orchestration: run selected methods on a model file, emit CSV/JSON
 artifacts, and measure agreement between the resulting node rankings.
 
-Rankings are oriented so rank 1 is "most unstable" (or most attended):
-attention and motif cost rank larger scores first, the walk score ranks more
-negative first, and the spectral sweep ranks the end-of-sweep largest negative
-eigenvalue closest to zero first. Artifacts use fixed 6-significant-digit
-float formatting so identical configs reproduce byte-identical files.
+Rankings are oriented so rank 1 is "most unstable" (or most attended); the
+`METHODS` registry holds each method's orientation and runner. Artifacts use
+fixed 6-significant-digit float formatting so identical configs reproduce
+byte-identical files.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
-
-import numpy as np
+from typing import Callable
 
 from . import agcn, motifs, spectral, walks
 from .errors import BadParameter
 from .graph import load_model
 from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 
-METHODS = ("attention", "spectral", "motifs", "nstc")
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
 
 
@@ -28,7 +26,7 @@ CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
 class AnalysisConfig:
     model_path: str = "piezo"
     variant: str = "appendix"
-    methods: tuple[str, ...] = METHODS
+    methods: tuple[str, ...] = field(default_factory=lambda: tuple(METHODS))
     output_dir: str = "out"
     seeds: tuple[int, ...] = (0,)
     iterations: int = 500
@@ -120,13 +118,20 @@ def _delta_grid(config: AnalysisConfig) -> list[float]:
     return grid
 
 
-def _run_attention(config: AnalysisConfig, graph, features, out: Path) -> dict:
+def _ranking(table: NodeScoreTable) -> dict:
+    """The summary's per-node `scores` and 1-based `ranks` of a table."""
+    return {
+        "scores": list(table.scores),
+        "ranks": [table.rank_of(node) for node in range(table.n)],
+    }
+
+
+def _run_attention(config: AnalysisConfig, graph, features, out: Path, rank) -> tuple:
     if graph.node_labels is None:
         raise BadParameter("model has no 'labels' field; the attention method needs targets")
-    feats = features
     if config.perturb_node is not None:
-        feats = agcn.perturb_features(features, config.perturb_node, config.perturb_factor)
-    per_seed = {}
+        features = agcn.perturb_features(features, config.perturb_node, config.perturb_factor)
+    states, tables = {}, {}
     for seed in config.seeds:
         hyper = agcn.AgcnHyperparams(
             leaky_slope=config.leaky_slope,
@@ -134,18 +139,12 @@ def _run_attention(config: AnalysisConfig, graph, features, out: Path) -> dict:
             iterations=config.iterations,
             seed=seed,
         )
-        state = agcn.train(graph, feats, graph.node_labels, hyper)
-        table = agcn.node_attention_scores(state.alpha)
-        per_seed[seed] = {
-            "state": state,
-            "table": table,
-            "converged": state.final_loss <= CONVERGENCE_LOSS,
-        }
-    representative = next(
-        (s for s in config.seeds if per_seed[s]["converged"]), config.seeds[0]
-    )
-    rep = per_seed[representative]
-    state, table = rep["state"], rep["table"]
+        states[seed] = agcn.train(graph, features, graph.node_labels, hyper)
+        # agcn supplies the scores; the ranking follows this method's registry orientation
+        tables[seed] = rank(agcn.node_attention_scores(states[seed].alpha).scores)
+    converged = {seed: state.final_loss <= CONVERGENCE_LOSS for seed, state in states.items()}
+    representative = next((s for s in config.seeds if converged[s]), config.seeds[0])
+    state, table = states[representative], tables[representative]
 
     _write_csv(
         out / "loss_history.csv",
@@ -162,121 +161,71 @@ def _run_attention(config: AnalysisConfig, graph, features, out: Path) -> dict:
         ["node", "score", "rank"],
         [[node, table.scores[node], table.rank_of(node)] for node in range(graph.n)],
     )
-    return {
-        "table": table,
-        "summary": {
-            "representative_seed": representative,
-            "perturb_node": config.perturb_node,
-            "perturb_factor": config.perturb_factor if config.perturb_node is not None else None,
-            "alpha": [[float(v) for v in row] for row in state.alpha],
-            "scores": [table.scores[node] for node in range(graph.n)],
-            "ranks": [table.rank_of(node) for node in range(graph.n)],
-            "seeds": {
-                str(seed): {
-                    "initial_loss": rec["state"].loss_history[0],
-                    "final_loss": rec["state"].final_loss,
-                    "converged": rec["converged"],
-                    "loss_history": [float(l) for l in rec["state"].loss_history],
-                    "scores": [rec["table"].scores[node] for node in range(graph.n)],
-                    "ranks": [rec["table"].rank_of(node) for node in range(graph.n)],
-                }
-                for seed, rec in per_seed.items()
-            },
+    return table, {
+        "representative_seed": representative,
+        "perturb_node": config.perturb_node,
+        "perturb_factor": config.perturb_factor if config.perturb_node is not None else None,
+        "alpha": [[float(v) for v in row] for row in state.alpha],
+        "seeds": {
+            str(seed): {
+                "initial_loss": s.loss_history[0],
+                "final_loss": s.final_loss,
+                "converged": converged[seed],
+                "loss_history": [float(l) for l in s.loss_history],
+                **_ranking(tables[seed]),
+            }
+            for seed, s in states.items()
         },
     }
 
 
-def _run_spectral(config: AnalysisConfig, graph, out: Path) -> dict:
+def _run_spectral(config: AnalysisConfig, graph, features, out: Path, rank) -> tuple:
     table = spectral.perturbation_sweep(graph, _delta_grid(config))
-    rows = []
-    for node in table.nodes:
-        for delta in table.deltas:
-            cell = table.cells[(node, delta)]
-            rows.append([node, delta, cell.value, cell.status])
-    _write_csv(out / "spectral_sweep.csv", ["node", "delta", "largest_negative_eigenvalue", "status"], rows)
-    end_scores = spectral.sweep_end_scores(table)
-    score_table = ranked_table("spectral", end_scores, descending=True)  # closest to zero first
-    return {
-        "table": score_table,
-        "summary": {
-            "deltas": list(table.deltas),
-            "cells": [
-                {
-                    "node": cell.node,
-                    "delta": cell.delta,
-                    "value": cell.value,
-                    "status": cell.status,
-                }
-                for key in sorted(table.cells)
-                for cell in [table.cells[key]]
-            ],
-            "scores": list(score_table.scores),
-            "ranks": [score_table.rank_of(node) for node in range(graph.n)],
-        },
-    }
+    cells = [asdict(table.cells[key]) for key in sorted(table.cells)]
+    _write_csv(
+        out / "spectral_sweep.csv",
+        ["node", "delta", "largest_negative_eigenvalue", "status"],
+        [list(cell.values()) for cell in cells],
+    )
+    return rank(spectral.sweep_end_scores(table)), {"deltas": list(table.deltas), "cells": cells}
 
 
-def _run_motifs(config: AnalysisConfig, graph, out: Path) -> dict:
-    rows = motifs.motif_table(graph, max_length=config.max_motif_size)
+def _run_motifs(config: AnalysisConfig, graph, features, out: Path, rank) -> tuple:
+    rows = [asdict(r) for r in motifs.motif_table(graph, max_length=config.max_motif_size)]
     _write_csv(
         out / "motif_costs.csv",
         ["node", "w3", "w4", "w5", "w6", "total_cost"],
-        [[r.node, r.w3, r.w4, r.w5, r.w6, r.total_cost] for r in rows],
+        [list(r.values()) for r in rows],
     )
-    score_table = ranked_table("motifs", [r.total_cost for r in rows], descending=True)
-    return {
-        "table": score_table,
-        "summary": {
-            "rows": [
-                {
-                    "node": r.node,
-                    "w3": r.w3,
-                    "w4": r.w4,
-                    "w5": r.w5,
-                    "w6": r.w6,
-                    "total_cost": r.total_cost,
-                }
-                for r in rows
-            ],
-            "scores": list(score_table.scores),
-            "ranks": [score_table.rank_of(node) for node in range(graph.n)],
-        },
-    }
+    return rank([r["total_cost"] for r in rows]), {"rows": rows}
 
 
-def _run_nstc(config: AnalysisConfig, graph, out: Path) -> dict:
+def _run_nstc(config: AnalysisConfig, graph, features, out: Path, rank) -> tuple:
     rows = walks.nstc_table(graph)
-    score_table = walks.nstc_ranking(graph)
+    table = rank([r.nstc for r in rows])
     _write_csv(
         out / "nstc.csv",
         ["node", "n_paths", "nstc", "rank"],
-        [[r.node, r.n_paths, r.nstc, score_table.rank_of(r.node)] for r in rows],
+        [[r.node, r.n_paths, r.nstc, table.rank_of(r.node)] for r in rows],
     )
-    walk_rows = walks.all_walks(graph)
-    _write_csv(
-        out / "walk_tree.csv",
-        ["start", "mid", "end", "w1", "w2", "product"],
-        [[w.start, w.mid, w.end, w.w1, w.w2, w.product] for w in walk_rows],
-    )
-    return {
-        "table": score_table,
-        "summary": {
-            "rows": [
-                {
-                    "node": r.node,
-                    "n_paths": r.n_paths,
-                    "nstc": r.nstc,
-                    "no_walks": r.no_walks,
-                }
-                for r in rows
-            ],
-            "walks": [
-                [w.start, w.mid, w.end, w.w1, w.w2, w.product] for w in walk_rows
-            ],
-            "scores": list(score_table.scores),
-            "ranks": [score_table.rank_of(node) for node in range(graph.n)],
-        },
-    }
+    walk_rows = [[w.start, w.mid, w.end, w.w1, w.w2, w.product] for w in walks.all_walks(graph)]
+    _write_csv(out / "walk_tree.csv", ["start", "mid", "end", "w1", "w2", "product"], walk_rows)
+    return table, {"rows": [asdict(r) for r in rows], "walks": walk_rows}
+
+
+@dataclass(frozen=True)
+class Method:
+    descending: bool  # True: the largest score ranks first
+    run: Callable  # (config, graph, features, out, rank) -> (table, summary fields)
+
+
+# Run order; each method's ranking orientation is stated here and nowhere else.
+METHODS = {
+    "attention": Method(descending=True, run=_run_attention),  # most attention received
+    "spectral": Method(descending=True, run=_run_spectral),  # end eigenvalue closest to zero
+    "motifs": Method(descending=True, run=_run_motifs),  # largest imbalance cost
+    "nstc": Method(descending=False, run=_run_nstc),  # most negative walk cost
+}
 
 
 def run(config: AnalysisConfig) -> dict:
@@ -292,19 +241,13 @@ def run(config: AnalysisConfig) -> dict:
 
     tables: dict[str, NodeScoreTable] = {}
     method_summaries = {}
-    for method in METHODS:
-        if method not in config.methods:
+    for name, method in METHODS.items():
+        if name not in config.methods:
             continue
-        if method == "attention":
-            result = _run_attention(config, graph, features, out)
-        elif method == "spectral":
-            result = _run_spectral(config, graph, out)
-        elif method == "motifs":
-            result = _run_motifs(config, graph, out)
-        else:
-            result = _run_nstc(config, graph, out)
-        tables[method] = result["table"]
-        method_summaries[method] = result["summary"]
+        rank = partial(ranked_table, name, descending=method.descending)
+        table, fields = method.run(config, graph, features, out, rank)
+        tables[name] = table
+        method_summaries[name] = {**fields, **_ranking(table)}
 
     summary = {
         "config": asdict(config),
@@ -332,21 +275,14 @@ def concordance_to_dict(report: ConcordanceReport) -> dict:
     }
 
 
-_METHOD_ORIENTATION = {
-    "attention": True,  # larger score ranks first
-    "motifs": True,
-    "nstc": False,  # more negative ranks first
-    "spectral": True,  # closest to zero (max real part) ranks first
-}
-
-
 def tables_from_summary(summary: dict) -> dict[str, NodeScoreTable]:
     """Rebuild the per-method score tables stored in a summary document."""
     tables = {}
-    for method, data in summary.get("methods", {}).items():
-        if "scores" not in data:
-            continue
-        tables[method] = ranked_table(method, data["scores"], descending=_METHOD_ORIENTATION[method])
+    for name, data in summary.get("methods", {}).items():
+        if name not in METHODS:
+            raise BadParameter(f"summary names unknown method {name!r}; valid: {list(METHODS)}")
+        if "scores" in data:
+            tables[name] = ranked_table(name, data["scores"], descending=METHODS[name].descending)
     return tables
 
 

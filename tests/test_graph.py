@@ -11,6 +11,7 @@ from netinstab import (
     FeatureMatrix,
     MalformedModel,
     SignedWeightedDigraph,
+    fixture_path,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -75,6 +76,11 @@ class TestLoadModel:
     def test_bad_variant(self):
         with pytest.raises(BadParameter):
             load_model("piezo", "typo")
+
+    def test_fixture_path_is_loaded_as_given(self):
+        # only the "piezo" alias selects by variant; a fixture's own path is read as-is
+        graph, _ = load_model(fixture_path("printed"))
+        assert graph.weights[3, 1] == pytest.approx(-1.3083)
 
     @pytest.mark.parametrize("variant", ["appendix", "printed"])
     def test_round_trip(self, tmp_path, variant):

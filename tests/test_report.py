@@ -4,7 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netinstab import AnalysisConfig, BadParameter, concordance, ranked_table
+from netinstab import (
+    AgcnHyperparams,
+    AnalysisConfig,
+    BadParameter,
+    concordance,
+    node_attention_scores,
+    nstc_ranking,
+    ranked_table,
+    train,
+)
 from netinstab.cli import main
 from netinstab.report import concordance_from_summary, run, tables_from_summary
 
@@ -200,6 +209,17 @@ class TestRun:
         assert sorted(pair["top_k"]["motifs"]) == [2, 6]
         assert sorted(pair["top_k"]["nstc"]) == [2, 6]
 
+    def test_registry_orientation_matches_module_rankers(self, tmp_path, piezo):
+        graph, features = piezo
+        config = AnalysisConfig(methods=("attention", "nstc"), output_dir=str(tmp_path), seeds=(0, 1))
+        methods = run(config)["methods"]
+        nstc = nstc_ranking(graph)
+        assert methods["nstc"]["ranks"] == [nstc.rank_of(v) for v in range(graph.n)]
+        seed = methods["attention"]["representative_seed"]
+        hyper = AgcnHyperparams(seed=seed)
+        attention = node_attention_scores(train(graph, features, graph.node_labels, hyper).alpha)
+        assert methods["attention"]["ranks"] == [attention.rank_of(v) for v in range(graph.n)]
+
     def test_tables_from_summary_round_trip(self, tmp_path):
         config = AnalysisConfig(methods=("motifs", "nstc"), output_dir=str(tmp_path))
         summary = run(config)
@@ -268,3 +288,16 @@ class TestCli:
     def test_missing_summary_fails(self, tmp_path, capsys):
         code = main(["concordance", "--summary", str(tmp_path / "none.json")])
         assert code != 0
+
+    def test_malformed_summary_fails_with_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        path.write_text("{not json")
+        assert main(["concordance", "--summary", str(path)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_unknown_method_in_summary_fails_with_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        methods = {"nstc": {"scores": [1.0, 2.0]}, "bogus": {"scores": [2.0, 1.0]}}
+        path.write_text(json.dumps({"methods": methods}))
+        assert main(["concordance", "--summary", str(path)]) == 1
+        assert "'bogus'" in capsys.readouterr().err
