@@ -11,8 +11,8 @@ The pipeline, per forward pass:
    a per-source softmax across targets yields the attention matrix alpha.
 3. Convolution. The self-looped weight matrix is symmetrically scaled by
    inverse square-root absolute-value row sums (signed weights make raw row
-   sums unusable), combined with alpha (entrywise by default), and applied to
-   the features with a learnable F x 1 weight column. LeakyReLU then a
+   sums unusable), multiplied entrywise by alpha, and applied to the
+   features with a learnable F x 1 weight column. LeakyReLU then a
    softmax across the n nodes produces the prediction vector.
 
 Training nudges both parameter blocks with delta-rule style updates built
@@ -30,8 +30,7 @@ from .errors import BadParameter, DivergedTraining
 from .graph import FeatureMatrix, SignedWeightedDigraph
 from .scores import NodeScoreTable, ranked_table
 
-_COMBINE_MODES = ("elementwise", "matrix_product")
-_AGGREGATIONS = ("column_mean", "row_mean")
+INIT_RANGE = 0.5  # both parameter blocks start uniform in [-INIT_RANGE, +INIT_RANGE]
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,6 @@ class AgcnHyperparams:
     learning_rate: float = 0.5
     iterations: int = 500
     seed: int = 0
-    init_range: float = 0.5
-    attention_combine: str = "elementwise"
-    update_attention: bool = True  # the w_att update rule is heuristic; can be switched off
 
     def __post_init__(self):
         if not (0.0 < self.leaky_slope < 1.0):
@@ -51,10 +47,6 @@ class AgcnHyperparams:
             raise BadParameter(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.iterations < 1:
             raise BadParameter(f"iterations must be >= 1, got {self.iterations}")
-        if self.attention_combine not in _COMBINE_MODES:
-            raise BadParameter(
-                f"attention_combine must be one of {_COMBINE_MODES}, got {self.attention_combine!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -127,14 +119,8 @@ def normalize_adjacency(graph: SignedWeightedDigraph) -> np.ndarray:
     return inv_sqrt[:, None] * a_tilde * inv_sqrt[None, :]
 
 
-def _combine(a_hat: np.ndarray, alpha: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "elementwise":
-        return a_hat * alpha
-    return a_hat @ alpha
-
-
 def _forward(a_hat, alpha, x, w, hyper) -> tuple[np.ndarray, np.ndarray]:
-    masked = _combine(a_hat, alpha, hyper.attention_combine)
+    masked = a_hat * alpha
     logits = _leaky_relu(masked @ x @ w, hyper.leaky_slope)
     y_pp = _softmax_rows(logits.reshape(1, -1)).reshape(-1, 1)  # softmax across nodes
     return y_pp, masked
@@ -170,12 +156,12 @@ def train(
 ) -> AgcnState:
     """Fit the attention and convolution weights to per-node targets.
 
-    Both parameter blocks start uniform in [-init_range, +init_range] from the
+    Both parameter blocks start uniform in [-INIT_RANGE, +INIT_RANGE] from the
     seed. Each iteration runs the full forward pass at the current parameters,
     records the mean squared error, then applies the two updates:
 
     * convolution: w += mu * ((err^T (M_X * (1 - M_X)))^T) with
-      M_X = combine(A_hat, alpha) X, err = targets - prediction;
+      M_X = (A_hat * alpha) X, err = targets - prediction;
     * attention: per-node contributions G = Y'(1 - Y') * mu * err * X are
       concatenated over the ordered pairs (i, j) connected in the self-looped
       weight matrix and summed, normalized by 2n, and added to w_att.
@@ -196,8 +182,8 @@ def train(
     mu = hyper.learning_rate
 
     rng = np.random.default_rng(hyper.seed)
-    w_att = rng.uniform(-hyper.init_range, hyper.init_range, size=2 * f)
-    w = rng.uniform(-hyper.init_range, hyper.init_range, size=(f, 1))
+    w_att = rng.uniform(-INIT_RANGE, INIT_RANGE, size=2 * f)
+    w = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(f, 1))
 
     a_hat = normalize_adjacency(graph)
     a_tilde = graph.weights + np.eye(n)
@@ -221,10 +207,9 @@ def train(
 
             m_x = masked @ x
             w = w + mu * (err.T @ (m_x * (1.0 - m_x))).T
-            if hyper.update_attention:
-                g = deriv_prime * (mu * err) * x
-                z = np.concatenate([g[pair_src], g[pair_dst]], axis=1).sum(axis=0) / (2.0 * n)
-                w_att = w_att + z
+            g = deriv_prime * (mu * err) * x
+            z = np.concatenate([g[pair_src], g[pair_dst]], axis=1).sum(axis=0) / (2.0 * n)
+            w_att = w_att + z
 
         alpha = pair_attention(embedding, w_att, hyper)
         y_pp, _ = _forward(a_hat, alpha, x, w, hyper)
@@ -250,14 +235,7 @@ def perturb_features(features: FeatureMatrix, node: int, factor: float = 2.0) ->
     return FeatureMatrix(values=x)
 
 
-def node_attention_scores(alpha: np.ndarray, aggregation: str = "column_mean") -> NodeScoreTable:
-    """Reduce the attention matrix to one score per node, ranked descending.
-
-    column_mean averages each column (attention the node receives);
-    row_mean averages each row (attention the node pays out).
-    """
-    if aggregation not in _AGGREGATIONS:
-        raise BadParameter(f"aggregation must be one of {_AGGREGATIONS}, got {aggregation!r}")
+def node_attention_scores(alpha: np.ndarray) -> NodeScoreTable:
+    """Per-node mean of the attention it receives (alpha's column means), ranked descending."""
     alpha = np.asarray(alpha, dtype=float)
-    axis = 0 if aggregation == "column_mean" else 1
-    return ranked_table("attention", alpha.mean(axis=axis), descending=True)
+    return ranked_table("attention", alpha.mean(axis=0), descending=True)

@@ -32,22 +32,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="netinstab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    an = sub.add_parser("analyze", help="run analyses on a model file and emit artifacts")
-    an.add_argument("--model", required=True, help="model JSON path, or 'piezo' for the bundled fixture")
-    an.add_argument("--variant", choices=("appendix", "printed"), default="appendix")
-    an.add_argument("--method", required=True, help=f"comma-separated subset of {','.join(METHODS)}, or 'all'")
-    an.add_argument("--out", required=True, help="output directory for artifacts")
-    an.add_argument("--seed", type=int, nargs="+", default=[0], help="training seed(s)")
-    an.add_argument("--iters", type=int, default=500)
-    an.add_argument("--lr", type=float, default=0.5)
-    an.add_argument("--leaky-slope", type=float, default=0.01)
-    an.add_argument("--perturb-node", type=int, default=None)
-    an.add_argument("--perturb-factor", type=float, default=2.0)
-    an.add_argument("--delta-min", type=float, default=0.5)
-    an.add_argument("--delta-max", type=float, default=3.0)
-    an.add_argument("--delta-step", type=float, default=0.5)
-    an.add_argument("--max-motif-size", type=int, default=6)
-    an.add_argument("--top-k", type=int, default=2)
+    # each flag's dest is an AnalysisConfig field; an omitted flag keeps the field's default
+    an = sub.add_parser(
+        "analyze",
+        help="run analyses on a model file and emit artifacts",
+        argument_default=argparse.SUPPRESS,
+    )
+    an.add_argument("--model", dest="model_path", required=True, help="model JSON path, or 'piezo' for the bundled fixture")
+    an.add_argument("--variant", choices=("appendix", "printed"))
+    an.add_argument("--method", dest="methods", type=_parse_methods, required=True, help=f"comma-separated subset of {','.join(METHODS)}, or 'all'")
+    an.add_argument("--out", dest="output_dir", required=True, help="output directory for artifacts")
+    an.add_argument("--seed", dest="seeds", type=int, nargs="+", help="training seed(s)")
+    an.add_argument("--iters", dest="iterations", type=int)
+    an.add_argument("--lr", dest="learning_rate", type=float)
+    an.add_argument("--leaky-slope", type=float)
+    an.add_argument("--perturb-node", type=int)
+    an.add_argument("--perturb-factor", type=float)
+    an.add_argument("--delta-min", type=float)
+    an.add_argument("--delta-max", type=float)
+    an.add_argument("--delta-step", type=float)
+    an.add_argument("--top-k", type=int)
 
     co = sub.add_parser("concordance", help="recompute ranking agreement from a summary.json")
     co.add_argument("--summary", required=True, help="path to a summary.json written by analyze")
@@ -59,23 +63,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "analyze":
-            config = AnalysisConfig(
-                model_path=args.model,
-                variant=args.variant,
-                methods=_parse_methods(args.method),
-                output_dir=args.out,
-                seeds=tuple(args.seed),
-                iterations=args.iters,
-                learning_rate=args.lr,
-                leaky_slope=args.leaky_slope,
-                perturb_node=args.perturb_node,
-                perturb_factor=args.perturb_factor,
-                delta_min=args.delta_min,
-                delta_max=args.delta_max,
-                delta_step=args.delta_step,
-                max_motif_size=args.max_motif_size,
-                top_k=args.top_k,
-            )
+            fields = vars(args)
+            del fields["command"]
+            if "seeds" in fields:
+                fields["seeds"] = tuple(fields["seeds"])
+            config = AnalysisConfig(**fields)
             run(config)
             print(f"wrote artifacts to {config.output_dir}")
             return 0

@@ -41,19 +41,29 @@ class SignedWeightedDigraph:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         if self.node_labels is not None:
-            lab = np.asarray(self.node_labels, dtype=float)
+            try:
+                lab = np.asarray(self.node_labels, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise MalformedModel(f"labels must be a list of numbers: {exc}") from exc
             if lab.shape != (w.shape[0],):
                 raise MalformedModel(
-                    f"labels must have one entry per node, got {lab.shape[0]} for n={w.shape[0]}"
+                    f"labels must have one entry per node, got shape {lab.shape} for n={w.shape[0]}"
                 )
+            if not np.all(np.isfinite(lab)):
+                raise MalformedModel("labels contain non-finite entries")
             lab.setflags(write=False)
             object.__setattr__(self, "node_labels", lab)
         if self.cluster_of is not None:
-            cl = tuple(self.cluster_of)
+            try:
+                cl = tuple(self.cluster_of)
+            except TypeError as exc:
+                raise MalformedModel(f"clusters must be a list, got {self.cluster_of!r}") from exc
             if len(cl) != w.shape[0]:
                 raise MalformedModel(
                     f"clusters must have one entry per node, got {len(cl)} for n={w.shape[0]}"
                 )
+            if not all(isinstance(c, (int, np.integer)) for c in cl):
+                raise MalformedModel(f"clusters must be integer ids, got {list(cl)!r}")
             object.__setattr__(self, "cluster_of", cl)
 
     @property

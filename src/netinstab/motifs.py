@@ -90,76 +90,55 @@ def enumerate_simple_cycles(
     return cycles
 
 
-def imbalanced_motif_score(
-    graph: SignedWeightedDigraph,
-    node: int,
-    length: int,
-    cycles: list[DirectedCycle] | None = None,
-    max_nodes: int = DEFAULT_NODE_GUARD,
-) -> float:
+def _imbalanced_scores(graph: SignedWeightedDigraph, length: int) -> list[float]:
+    """Every node's imbalanced `length`-cycle score from one enumeration.
+
+    Each imbalanced cycle's product is added to the total of each node on it,
+    in enumeration order, so a node's total is the same sum, in the same
+    order, as a scan of all cycles for that node.
+    """
+    totals = [0.0] * graph.n
+    for cycle in enumerate_simple_cycles(graph, length):
+        if cycle.imbalanced:
+            for node in cycle.nodes:
+                totals[node] += cycle.weight_product
+    return [
+        total / total_degree(graph, node) ** 2 if total else 0.0
+        for node, total in enumerate(totals)
+    ]
+
+
+def imbalanced_motif_score(graph: SignedWeightedDigraph, node: int, length: int) -> float:
     """Sum of weight products of imbalanced `length`-cycles through `node`, over degree^2.
 
-    Pass `cycles` (from enumerate_simple_cycles for the same length) to reuse
-    one enumeration across nodes. A node on no imbalanced cycle scores 0.
+    A node on no imbalanced cycle scores 0.
     """
     _check_node(graph, node)
-    if cycles is None:
-        cycles = enumerate_simple_cycles(graph, length, max_nodes=max_nodes)
-    total = sum(c.weight_product for c in cycles if c.imbalanced and node in c.nodes)
-    if total == 0:
-        return 0.0
-    deg = total_degree(graph, node)
-    return total / deg**2
+    return _imbalanced_scores(graph, length)[node]
 
 
-def total_cost(
-    graph: SignedWeightedDigraph,
-    node: int,
-    max_length: int = MAX_CYCLE_LEN,
-    cycles_by_length: dict[int, list[DirectedCycle]] | None = None,
-    max_nodes: int = DEFAULT_NODE_GUARD,
-) -> MotifScoreRow:
+def total_cost(graph: SignedWeightedDigraph, node: int) -> MotifScoreRow:
     """Per-length imbalance scores and their combined cost for one node.
 
     total_cost = |w3 * w4 * w5 * w6| ** (1/3); any zero factor forces 0.
     """
-    if not (MIN_CYCLE_LEN <= max_length <= MAX_CYCLE_LEN):
-        raise BadParameter(f"max_length must be in [3, 6], got {max_length}")
-    if cycles_by_length is None:
-        cycles_by_length = {
-            k: enumerate_simple_cycles(graph, k, max_nodes=max_nodes)
-            for k in range(MIN_CYCLE_LEN, max_length + 1)
-        }
-    ws = {}
-    for k in range(MIN_CYCLE_LEN, MAX_CYCLE_LEN + 1):
-        if k <= max_length:
-            ws[k] = imbalanced_motif_score(graph, node, k, cycles=cycles_by_length[k])
-        else:
-            ws[k] = 0.0
-    product = ws[3] * ws[4] * ws[5] * ws[6]
-    return MotifScoreRow(
-        node=node,
-        w3=ws[3],
-        w4=ws[4],
-        w5=ws[5],
-        w6=ws[6],
-        total_cost=abs(product) ** (1.0 / 3.0),
-    )
+    _check_node(graph, node)
+    return motif_table(graph)[node]
 
 
-def motif_table(
-    graph: SignedWeightedDigraph,
-    max_length: int = MAX_CYCLE_LEN,
-    max_nodes: int = DEFAULT_NODE_GUARD,
-) -> list[MotifScoreRow]:
+def motif_table(graph: SignedWeightedDigraph) -> list[MotifScoreRow]:
     """Scores for every node, enumerating each cycle length once."""
-    if not (MIN_CYCLE_LEN <= max_length <= MAX_CYCLE_LEN):
-        raise BadParameter(f"max_length must be in [3, 6], got {max_length}")
-    cycles_by_length = {
-        k: enumerate_simple_cycles(graph, k, max_nodes=max_nodes)
-        for k in range(MIN_CYCLE_LEN, max_length + 1)
-    }
+    w3, w4, w5, w6 = (
+        _imbalanced_scores(graph, k) for k in range(MIN_CYCLE_LEN, MAX_CYCLE_LEN + 1)
+    )
     return [
-        total_cost(graph, node, max_length=max_length, cycles_by_length=cycles_by_length)
+        MotifScoreRow(
+            node=node,
+            w3=w3[node],
+            w4=w4[node],
+            w5=w5[node],
+            w6=w6[node],
+            total_cost=abs(w3[node] * w4[node] * w5[node] * w6[node]) ** (1.0 / 3.0),
+        )
         for node in range(graph.n)
     ]

@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -20,6 +21,9 @@ from .graph import load_model
 from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
+# each grid point costs one verified eigen-solve per node, so a grid past this
+# (a delta_step of 1e-7, say) would run for hours rather than fail
+MAX_DELTA_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,6 @@ class AnalysisConfig:
     delta_min: float = 0.5
     delta_max: float = 3.0
     delta_step: float = 0.5
-    max_motif_size: int = 6
     top_k: int = 2
 
     def __post_init__(self):
@@ -46,8 +49,16 @@ class AnalysisConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise BadParameter(f"unknown methods {unknown}; valid: {list(METHODS)}")
+        for name in ("delta_min", "delta_max", "delta_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise BadParameter(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta_step <= 0:
             raise BadParameter(f"delta_step must be > 0, got {self.delta_step}")
+        if (self.delta_max - self.delta_min) / self.delta_step + 1 > MAX_DELTA_POINTS:
+            raise BadParameter(
+                f"delta_step={self.delta_step} from delta_min={self.delta_min} to "
+                f"delta_max={self.delta_max} gives more than {MAX_DELTA_POINTS} grid points"
+            )
         if self.top_k < 1:
             raise BadParameter(f"top_k must be >= 1, got {self.top_k}")
         if not self.seeds:
@@ -191,7 +202,7 @@ def _run_spectral(config: AnalysisConfig, graph, features, out: Path, rank) -> t
 
 
 def _run_motifs(config: AnalysisConfig, graph, features, out: Path, rank) -> tuple:
-    rows = [asdict(r) for r in motifs.motif_table(graph, max_length=config.max_motif_size)]
+    rows = [asdict(r) for r in motifs.motif_table(graph)]
     _write_csv(
         out / "motif_costs.csv",
         ["node", "w3", "w4", "w5", "w6", "total_cost"],
@@ -275,14 +286,29 @@ def concordance_to_dict(report: ConcordanceReport) -> dict:
     }
 
 
+def _json_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise BadParameter(f"summary {where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def tables_from_summary(summary: dict) -> dict[str, NodeScoreTable]:
     """Rebuild the per-method score tables stored in a summary document."""
+    methods = _json_object(_json_object(summary, "document").get("methods", {}), "field 'methods'")
     tables = {}
-    for name, data in summary.get("methods", {}).items():
+    for name, data in methods.items():
         if name not in METHODS:
             raise BadParameter(f"summary names unknown method {name!r}; valid: {list(METHODS)}")
+        data = _json_object(data, f"field 'methods.{name}'")
         if "scores" in data:
-            tables[name] = ranked_table(name, data["scores"], descending=METHODS[name].descending)
+            scores = data["scores"]
+            if not isinstance(scores, list) or not all(
+                s is None or isinstance(s, (int, float)) for s in scores
+            ):
+                raise BadParameter(
+                    f"summary field 'methods.{name}.scores' must be a list of numbers or nulls"
+                )
+            tables[name] = ranked_table(name, scores, descending=METHODS[name].descending)
     return tables
 
 
@@ -292,5 +318,7 @@ def concordance_from_summary(summary: dict, top_k: int | None = None) -> Concord
     if len(tables) < 2:
         raise BadParameter("summary holds fewer than two method score tables")
     if top_k is None:
-        top_k = summary.get("config", {}).get("top_k", 2)
+        top_k = _json_object(summary.get("config", {}), "field 'config'").get("top_k", 2)
+        if not isinstance(top_k, int):
+            raise BadParameter(f"summary field 'config.top_k' must be an integer, got {top_k!r}")
     return concordance(tables, top_k)

@@ -5,11 +5,11 @@ tracks the largest negative eigenvalue (the negative real part closest to
 zero). Nodes whose value drifts toward zero as delta grows are the ones able
 to tip the network into instability.
 
-Two column-perturbation modes exist. "dense" adds delta to every entry of the
-column, including structural zeros; "nonzero" only shifts existing edges
-(graph.perturb_column). Dense is the default: it is the variant under which
-the piezo fixture shows its reference drive-to-zero signature on nodes 2
-and 6, and its trajectories are the archived reference.
+The perturbation is dense: delta is added to every entry of the column,
+structural zeros included, unlike graph.perturb_column, which only shifts
+existing edges. The dense shift is the one under which the piezo fixture
+shows its reference drive-to-zero signature on nodes 2 and 6, and its
+trajectories are the archived reference.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadMatrix, BadParameter, NumericalFailure
-from .graph import SignedWeightedDigraph, perturb_column
+from .graph import SignedWeightedDigraph
 
 # residual acceptance for a computed eigenvalue: smallest singular value of
 # (m - lambda I) relative to the matrix scale
@@ -104,34 +104,23 @@ class PerturbationSweepTable:
         return [self.cells[(node, d)].value for d in self.deltas]
 
 
-def perturbation_sweep(
-    graph: SignedWeightedDigraph,
-    deltas,
-    nodes=None,
-    mode: str = "dense",
-) -> PerturbationSweepTable:
-    """Largest negative eigenvalue per (node, delta) under column perturbation.
+def perturbation_sweep(graph: SignedWeightedDigraph, deltas) -> PerturbationSweepTable:
+    """Largest negative eigenvalue per (node, delta), delta added to the node's whole column.
 
-    The delta=0 baseline is always included. A cell whose eigenvalue
-    computation fails is marked "failed" without aborting the other cells.
+    Every node is swept, and the delta=0 baseline is always included. A cell
+    whose eigenvalue computation fails is marked "failed" without aborting the
+    other cells.
     """
-    if mode not in ("dense", "nonzero"):
-        raise BadParameter(f"mode must be 'dense' or 'nonzero', got {mode!r}")
     deltas = [float(d) for d in deltas]
     if any(not np.isfinite(d) for d in deltas):
         raise BadParameter("deltas must be finite")
-    if nodes is None:
-        nodes = range(graph.n)
-    nodes = tuple(int(j) for j in nodes)
+    nodes = tuple(range(graph.n))
     grid = sorted(set(deltas) | {0.0})
     cells = {}
     for node in nodes:
         for delta in grid:
-            if mode == "dense":
-                w = graph.weights.copy()
-                w[:, node] += delta
-            else:
-                w = perturb_column(graph, node, delta).weights
+            w = graph.weights.copy()
+            w[:, node] += delta
             try:
                 value = largest_negative_eigenvalue(eigenvalues(w))
             except NumericalFailure:

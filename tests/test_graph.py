@@ -69,6 +69,21 @@ class TestLoadModel:
                 {"n": 2, "adjacency": [[0, 1], [1, 0]], "features": [[1], [2]], "labels": [0.1]}
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("labels", [0.1, float("nan")]),
+            ("labels", "ab"),
+            ("labels", 0.5),
+            ("clusters", 5),
+            ("clusters", ["a", "b"]),
+        ],
+    )
+    def test_bad_labels_and_clusters_name_the_field(self, field, value):
+        doc = {"n": 2, "adjacency": [[0, 1], [1, 0]], "features": [[1], [2]], field: value}
+        with pytest.raises(MalformedModel, match=field):
+            model_from_dict(doc)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MalformedModel):
             load_model(tmp_path / "nope.json")

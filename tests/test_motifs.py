@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from netinstab import (
     BadParameter,
+    MotifScoreRow,
     SignedWeightedDigraph,
     TooLarge,
     enumerate_simple_cycles,
     imbalanced_motif_score,
     motif_table,
     total_cost,
+    total_degree,
 )
 from conftest import random_signed_digraph_weights
 
@@ -47,6 +49,22 @@ def oracle_cycles(weights, k):
         if ok:
             found[perm] = product
     return found
+
+
+def scan_oracle_table(graph):
+    """Motif rows by scanning every cycle for every node."""
+    ws = {}
+    for k in (3, 4, 5, 6):
+        cycles = enumerate_simple_cycles(graph, k)
+        ws[k] = []
+        for node in range(graph.n):
+            total = sum(c.weight_product for c in cycles if c.imbalanced and node in c.nodes)
+            ws[k].append(0.0 if total == 0 else total / total_degree(graph, node) ** 2)
+    rows = []
+    for node in range(graph.n):
+        w3, w4, w5, w6 = (ws[k][node] for k in (3, 4, 5, 6))
+        rows.append(MotifScoreRow(node, w3, w4, w5, w6, abs(w3 * w4 * w5 * w6) ** (1.0 / 3.0)))
+    return rows
 
 
 class TestEnumeration:
@@ -133,6 +151,17 @@ class TestScores:
             got = (row.w3, row.w4, row.w5, row.w6, row.total_cost)
             for g, e in zip(got, expected):
                 assert g == pytest.approx(e, abs=1e-2), (row.node, got, expected)
+
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(1, 8),
+        density=st.floats(0.2, 0.9, allow_nan=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_table_equals_per_node_scan(self, seed, n, density):
+        rng = np.random.default_rng(seed)
+        graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density))
+        assert motif_table(graph) == scan_oracle_table(graph)
 
     def test_zero_when_no_imbalanced_cycles(self):
         w = np.zeros((3, 3))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,13 @@ from netinstab import (
     train,
 )
 from netinstab.cli import main
-from netinstab.report import concordance_from_summary, run, tables_from_summary
+from netinstab.report import (
+    MAX_DELTA_POINTS,
+    _delta_grid,
+    concordance_from_summary,
+    run,
+    tables_from_summary,
+)
 
 
 def read_csv(path):
@@ -83,6 +90,25 @@ class TestConfig:
     def test_bad_top_k_rejected(self):
         with pytest.raises(BadParameter):
             AnalysisConfig(top_k=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delta_max", float("inf")),
+            ("delta_min", float("nan")),
+            ("delta_min", float("-inf")),
+            ("delta_step", float("nan")),
+            ("delta_step", 1e-7),
+            ("delta_step", 5e-324),
+        ],
+    )
+    def test_unbounded_grid_rejected_before_running(self, field, value):
+        with pytest.raises(BadParameter, match=field):
+            AnalysisConfig(**{field: value})
+
+    def test_grid_at_the_point_cap_accepted(self):
+        config = AnalysisConfig(delta_min=0.0, delta_max=999.0, delta_step=1.0)
+        assert len(_delta_grid(config)) == MAX_DELTA_POINTS
 
 
 class TestRun:
@@ -274,6 +300,13 @@ class TestCli:
         ):
             assert (out / name).exists(), name
 
+    def test_analyze_defaults_are_the_config_defaults(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["analyze", "--model", "piezo", "--method", "nstc", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        expected = AnalysisConfig(model_path="piezo", methods=("nstc",), output_dir=str(out))
+        assert summary["config"] == json.loads(json.dumps(asdict(expected)))
+
     def test_bad_model_path_fails(self, tmp_path, capsys):
         code = main(
             ["analyze", "--model", str(tmp_path / "missing.json"), "--method", "nstc", "--out", str(tmp_path)]
@@ -294,6 +327,20 @@ class TestCli:
         path.write_text("{not json")
         assert main(["concordance", "--summary", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([1, 2], "document"),
+            ({"methods": [1]}, "'methods'"),
+            ({"methods": {"nstc": {"scores": 3}, "motifs": {"scores": [1.0]}}}, "'methods.nstc.scores'"),
+        ],
+    )
+    def test_wrong_shape_summary_fails_with_diagnostic(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(doc))
+        assert main(["concordance", "--summary", str(path)]) == 1
+        assert field in capsys.readouterr().err
 
     def test_unknown_method_in_summary_fails_with_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "summary.json"
