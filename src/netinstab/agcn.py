@@ -22,6 +22,8 @@ nonnegative and sum to 1 along their axis to within 1e-9.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,10 +45,12 @@ class AgcnHyperparams:
     def __post_init__(self):
         if not (0.0 < self.leaky_slope < 1.0):
             raise BadParameter(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
-        if self.learning_rate < 0.0:
-            raise BadParameter(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise BadParameter(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.iterations < 1:
             raise BadParameter(f"iterations must be >= 1, got {self.iterations}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise BadParameter(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

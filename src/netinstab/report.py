@@ -21,8 +21,9 @@ from .graph import load_model
 from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
-# each grid point costs one verified eigen-solve per node, so a grid past this
-# (a delta_step of 1e-7, say) would run for hours rather than fail
+# each grid point costs one verified O(n^3) eigen-solve per node (about 2 ms at
+# n = 48), so a grid past this (a delta_step of 1e-7 gives 25 million points)
+# would run for days rather than fail
 MAX_DELTA_POINTS = 1000
 
 
@@ -63,6 +64,19 @@ class AnalysisConfig:
             raise BadParameter(f"top_k must be >= 1, got {self.top_k}")
         if not self.seeds:
             raise BadParameter("seeds must not be empty")
+        if not math.isfinite(self.perturb_factor):
+            raise BadParameter(f"perturb_factor must be finite, got {self.perturb_factor}")
+        for seed in self.seeds:  # refuse bad training settings before anything runs
+            self.hyperparams(seed)
+
+    def hyperparams(self, seed: int) -> agcn.AgcnHyperparams:
+        """The training settings for one of `seeds`."""
+        return agcn.AgcnHyperparams(
+            leaky_slope=self.leaky_slope,
+            learning_rate=self.learning_rate,
+            iterations=self.iterations,
+            seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -144,13 +158,7 @@ def _run_attention(config: AnalysisConfig, graph, features, out: Path, rank) -> 
         features = agcn.perturb_features(features, config.perturb_node, config.perturb_factor)
     states, tables = {}, {}
     for seed in config.seeds:
-        hyper = agcn.AgcnHyperparams(
-            leaky_slope=config.leaky_slope,
-            learning_rate=config.learning_rate,
-            iterations=config.iterations,
-            seed=seed,
-        )
-        states[seed] = agcn.train(graph, features, graph.node_labels, hyper)
+        states[seed] = agcn.train(graph, features, graph.node_labels, config.hyperparams(seed))
         # agcn supplies the scores; the ranking follows this method's registry orientation
         tables[seed] = rank(agcn.node_attention_scores(states[seed].alpha).scores)
     converged = {seed: state.final_loss <= CONVERGENCE_LOSS for seed, state in states.items()}

@@ -227,6 +227,19 @@ class TestTrain:
         with pytest.raises(BadParameter):
             AgcnHyperparams(iterations=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("seed", -1),
+            ("seed", 0.5),
+        ],
+    )
+    def test_bad_hyperparams_name_the_field(self, field, value):
+        with pytest.raises(BadParameter, match=field):
+            AgcnHyperparams(**{field: value})
+
 
 class TestAttentionScores:
     def test_uniform_alpha(self):

@@ -106,6 +106,20 @@ class TestConfig:
         with pytest.raises(BadParameter, match=field):
             AnalysisConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("seeds", (0, -1), "seed"),
+            ("learning_rate", float("nan"), "learning_rate"),
+            ("learning_rate", float("inf"), "learning_rate"),
+            ("perturb_factor", float("nan"), "perturb_factor"),
+            ("perturb_factor", float("-inf"), "perturb_factor"),
+        ],
+    )
+    def test_bad_training_input_rejected_before_running(self, field, value, named):
+        with pytest.raises(BadParameter, match=named):
+            AnalysisConfig(**{field: value})
+
     def test_grid_at_the_point_cap_accepted(self):
         config = AnalysisConfig(delta_min=0.0, delta_max=999.0, delta_step=1.0)
         assert len(_delta_grid(config)) == MAX_DELTA_POINTS

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netinstab.spectral
+from netinstab.spectral import RESIDUAL_RTOL
 from netinstab import (
     BadMatrix,
     BadParameter,
@@ -37,6 +38,30 @@ def charpoly_roots(matrix):
         for i in range(n):
             mk[i][i] += ck
     return np.roots([float(c) for c in coeffs])
+
+
+def hard_matrices():
+    """Defective, companion, rank-one, zero and badly scaled matrices, by name."""
+    rng = np.random.default_rng(11)
+    cases = {}
+    for n in (2, 3, 5, 8):
+        cases[f"jordan-n{n}"] = np.eye(n, k=1)
+        cases[f"shifted-jordan-n{n}"] = np.eye(n, k=1) + 2.0 * np.eye(n)
+        cases[f"companion-n{n}"] = np.eye(n, k=-1)
+        cases[f"companion-n{n}"][:, -1] = rng.uniform(-3, 3, n)
+        cases[f"rank-one-n{n}"] = np.outer(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+        cases[f"zero-n{n}"] = np.zeros((n, n))
+        cases[f"triangular-1e8-n{n}"] = 1e8 * np.triu(rng.uniform(-1, 1, (n, n)))
+    return cases
+
+
+def assert_svd_oracle_holds(m):
+    """Each returned value passes the singular-value test the residual check replaced."""
+    es = eigenvalues(m)
+    scale = max(1.0, float(np.linalg.norm(m, 2)))
+    sigma = max(np.linalg.svd(m - v * np.eye(len(m)), compute_uv=False)[-1] for v in es.values)
+    assert sigma <= RESIDUAL_RTOL * scale
+    assert es.residual_bound >= sigma - 4 * np.finfo(float).eps * scale
 
 
 def assert_multisets_close(got, expected, tol):
@@ -73,6 +98,24 @@ class TestEigenvalues:
     def test_residual_bound_recorded(self, piezo):
         es = eigenvalues(piezo[0].weights)
         assert 0 <= es.residual_bound <= 1e-9 * np.linalg.norm(piezo[0].weights, 2)
+
+    def test_overflowing_matrix_fails_numerically(self):
+        with pytest.raises(NumericalFailure):
+            eigenvalues(np.full((2, 2), 1e308))
+
+    def test_huge_finite_matrix_accepted(self):
+        # squaring the residual of a 1e200-scale matrix would overflow
+        es = eigenvalues(np.array([[1e200, 1e200], [0.0, -1e200]]))
+        assert_multisets_close(es.values, [1e200, -1e200], 1e188)
+
+    @given(seed=st.integers(0, 100_000), n=st.integers(1, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_svd_oracle_random(self, seed, n):
+        assert_svd_oracle_holds(random_signed_digraph_weights(np.random.default_rng(seed), n))
+
+    @pytest.mark.parametrize("name", list(hard_matrices()))
+    def test_svd_oracle_hard_cases(self, name):
+        assert_svd_oracle_holds(hard_matrices()[name])
 
     @given(seed=st.integers(0, 100_000), n=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -159,6 +202,11 @@ class TestSweep:
         statuses = [table.cells[key].status for key in sorted(table.cells)]
         assert statuses.count("failed") == 1
         assert statuses.count("ok") == 15
+
+    def test_overflowing_cells_fail_without_aborting(self):
+        graph = SignedWeightedDigraph(weights=np.full((2, 2), 1e308))
+        table = perturbation_sweep(graph, [0.5])
+        assert {cell.status for cell in table.cells.values()} == {"failed"}
 
     def test_reference_trajectories(self, piezo):
         table = perturbation_sweep(piezo[0], REFERENCE["deltas"])
