@@ -22,7 +22,8 @@ class BadMatrix(NetinstabError):
 
 
 class NumericalFailure(NetinstabError):
-    """An eigenvalue computation failed to converge or failed verification."""
+    """A numerical result is unusable: an eigenvalue computation failed to
+    converge or failed verification, or walk costs overflowed to non-finite."""
 
 
 class TooLarge(NetinstabError):

@@ -68,6 +68,8 @@ class AnalysisConfig:
             raise BadParameter(f"perturb_factor must be finite, got {self.perturb_factor}")
         for seed in self.seeds:  # refuse bad training settings before anything runs
             self.hyperparams(seed)
+        if len(set(self.seeds)) != len(self.seeds):  # a repeat would train twice and keep one
+            raise BadParameter(f"seeds must not repeat, got {list(self.seeds)}")
 
     def hyperparams(self, seed: int) -> agcn.AgcnHyperparams:
         """The training settings for one of `seeds`."""
@@ -125,6 +127,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_number_csv(path: Path, header, rows: list[tuple]) -> None:
+    """`_write_csv` for rows of numbers: one %-format per row instead of one `_fmt` per cell."""
+    row_format = ",".join(["%.6g"] * len(header)) + "\n"
+    path.write_text(",".join(header) + "\n" + "".join(row_format % row for row in rows))
 
 
 def _delta_grid(config: AnalysisConfig) -> list[float]:
@@ -220,15 +228,16 @@ def _run_motifs(config: AnalysisConfig, graph, features, out: Path, rank) -> tup
 
 
 def _run_nstc(config: AnalysisConfig, graph, features, out: Path, rank) -> tuple:
-    rows = walks.nstc_table(graph)
+    all_walks = walks.all_walks(graph)
+    rows = walks.nstc_table(graph, all_walks)
     table = rank([r.nstc for r in rows])
     _write_csv(
         out / "nstc.csv",
         ["node", "n_paths", "nstc", "rank"],
         [[r.node, r.n_paths, r.nstc, table.rank_of(r.node)] for r in rows],
     )
-    walk_rows = [[w.start, w.mid, w.end, w.w1, w.w2, w.product] for w in walks.all_walks(graph)]
-    _write_csv(out / "walk_tree.csv", ["start", "mid", "end", "w1", "w2", "product"], walk_rows)
+    walk_rows = all_walks.rows()
+    _write_number_csv(out / "walk_tree.csv", walks.WALK_COLUMNS, walk_rows)
     return table, {"rows": [asdict(r) for r in rows], "walks": walk_rows}
 
 

@@ -6,13 +6,25 @@ with i != k, j != i, j != k. The score of a start node is the mean over all
 its walks of the product of the two traversed edge weights; strongly negative
 values mark a polarity-reversing local flow structure, and nodes are ranked
 most-negative-first as the strongest instability spreaders.
+
+`_enumerate` states the walk rule once, as numpy columns in (start, mid, end)
+order; `all_walks`, `two_step_walks`, `nstc` and `nstc_table` all read it. Each
+node's mean is the builtin `sum` of its products in that order, so the scores
+do not depend on how the walks were enumerated. A product or mean that
+overflows raises `NumericalFailure` instead of ranking an infinite node first.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import NumericalFailure
 from .graph import SignedWeightedDigraph, _check_node
 from .scores import NodeScoreTable, ranked_table
+
+WALK_COLUMNS = ("start", "mid", "end", "w1", "w2", "product")
 
 
 @dataclass(frozen=True)
@@ -29,6 +41,25 @@ class TwoStepWalk:
 
 
 @dataclass(frozen=True)
+class Walks:
+    """Two-step walks as parallel columns, sorted by (start, mid, end)."""
+
+    start: np.ndarray
+    mid: np.ndarray
+    end: np.ndarray
+    w1: np.ndarray  # weight of start -> mid
+    w2: np.ndarray  # weight of mid -> end
+    product: np.ndarray  # w1 * w2
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def rows(self) -> list[tuple]:
+        """One (start, mid, end, w1, w2, product) tuple of Python numbers per walk."""
+        return list(zip(*(getattr(self, c).tolist() for c in WALK_COLUMNS)))
+
+
+@dataclass(frozen=True)
 class NstcRow:
     node: int
     n_paths: int
@@ -36,47 +67,73 @@ class NstcRow:
     no_walks: bool = False
 
 
+def _enumerate(graph: SignedWeightedDigraph, starts: range) -> Walks:
+    """Every walk from `starts`: no self-loop step, no return to the start."""
+    w = graph.weights
+    edge = w != 0
+    np.fill_diagonal(edge, False)
+    k, i = np.nonzero(edge[starts.start : starts.stop])
+    k += starts.start
+    # row-major nonzero keeps (start, mid, end) order; row p of the mask is walk prefix k[p] -> i[p]
+    p, end = np.nonzero(edge[i] & (np.arange(graph.n) != k[:, None]))
+    start, mid = k[p], i[p]
+    w1, w2 = w[start, mid], w[mid, end]
+    with np.errstate(over="ignore"):  # an infinite product fails in `_nstc_rows`, not here
+        return Walks(start, mid, end, w1, w2, w1 * w2)
+
+
+def all_walks(graph: SignedWeightedDigraph) -> Walks:
+    """Every two-step walk in the graph, grouped by start node."""
+    return _enumerate(graph, range(graph.n))
+
+
 def two_step_walks(graph: SignedWeightedDigraph, start: int) -> list[TwoStepWalk]:
     """Exhaustive, deterministic enumeration of two-step walks from `start`."""
     _check_node(graph, start)
-    w = graph.weights
-    n = graph.n
-    out = []
-    for mid in range(n):
-        if mid == start or w[start, mid] == 0:
+    walks = _enumerate(graph, range(start, start + 1))
+    return [TwoStepWalk(*row[:5]) for row in walks.rows()]
+
+
+def _nstc_rows(walks: Walks, nodes: range) -> list[NstcRow]:
+    """The NSTC row of each of `nodes`, from the walks that start at them."""
+    bounds = np.searchsorted(walks.start, np.arange(nodes.start, nodes.stop + 1)).tolist()
+    products = walks.product.tolist()
+    rows = []
+    for node, lo, hi in zip(nodes, bounds, bounds[1:]):
+        if lo == hi:
+            rows.append(NstcRow(node=node, n_paths=0, nstc=0.0, no_walks=True))
             continue
-        for end in range(n):
-            if end == mid or end == start or w[mid, end] == 0:
-                continue
-            out.append(TwoStepWalk(start, mid, end, float(w[start, mid]), float(w[mid, end])))
-    return out
+        mean = sum(products[lo:hi]) / (hi - lo)
+        # weights are finite and nonzero, so a product overflows to +-inf, never nan, and its
+        # node's mean is then non-finite too; checking the mean also catches an overflowing sum
+        if not math.isfinite(mean):
+            raise NumericalFailure(
+                f"two-step walk cost from node {node} is not finite ({mean}): "
+                "walk products overflow float64"
+            )
+        rows.append(NstcRow(node=node, n_paths=hi - lo, nstc=mean))
+    return rows
 
 
 def nstc(graph: SignedWeightedDigraph, node: int) -> NstcRow:
     """Normalized summation of transition cost: mean walk weight product.
 
     A node with no two-step walks gets score 0 with the no_walks flag set.
+    Raises `NumericalFailure` when the products or their mean overflow.
     """
-    walks = two_step_walks(graph, node)
-    if not walks:
-        return NstcRow(node=node, n_paths=0, nstc=0.0, no_walks=True)
-    total = sum(wk.product for wk in walks)
-    return NstcRow(node=node, n_paths=len(walks), nstc=total / len(walks))
+    _check_node(graph, node)
+    nodes = range(node, node + 1)
+    return _nstc_rows(_enumerate(graph, nodes), nodes)[0]
 
 
-def nstc_table(graph: SignedWeightedDigraph) -> list[NstcRow]:
-    return [nstc(graph, k) for k in range(graph.n)]
+def nstc_table(graph: SignedWeightedDigraph, walks: Walks | None = None) -> list[NstcRow]:
+    """One `NstcRow` per node; `walks` is `all_walks(graph)` when the caller has it."""
+    if walks is None:
+        walks = all_walks(graph)
+    return _nstc_rows(walks, range(graph.n))
 
 
 def nstc_ranking(graph: SignedWeightedDigraph) -> NodeScoreTable:
     """Rank all nodes ascending by score: most negative first (strongest spreader)."""
     rows = nstc_table(graph)
     return ranked_table("nstc", [r.nstc for r in rows], descending=False)
-
-
-def all_walks(graph: SignedWeightedDigraph) -> list[TwoStepWalk]:
-    """Every two-step walk in the graph, grouped by start node (for tree export)."""
-    out = []
-    for k in range(graph.n):
-        out.extend(two_step_walks(graph, k))
-    return out

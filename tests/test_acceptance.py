@@ -234,7 +234,7 @@ def test_criterion_7a_cycle_oracle():
 
 
 def test_criterion_7b_walk_oracle():
-    """Two-step walk enumeration equals the triple-loop oracle."""
+    """Two-step walk enumeration equals the triple-loop oracle, in order."""
     rng = np.random.default_rng(20240812)
     mismatches = 0
     for trial in range(200):
@@ -243,7 +243,7 @@ def test_criterion_7b_walk_oracle():
             weights=random_signed_digraph_weights(rng, n, density=float(rng.uniform(0.2, 0.8)))
         )
         for start in range(n):
-            got = {(w.start, w.mid, w.end, w.w1, w.w2) for w in two_step_walks(graph, start)}
+            got = [(w.start, w.mid, w.end, w.w1, w.w2) for w in two_step_walks(graph, start)]
             if got != oracle_walks(graph.weights, start):
                 mismatches += 1
     _report("7b walk enumeration oracle", mismatches == 0, f"{mismatches} mismatches in 200 graphs")

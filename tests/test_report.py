@@ -110,6 +110,7 @@ class TestConfig:
         "field, value, named",
         [
             ("seeds", (0, -1), "seed"),
+            ("seeds", (1, 1), "seeds"),
             ("learning_rate", float("nan"), "learning_rate"),
             ("learning_rate", float("inf"), "learning_rate"),
             ("perturb_factor", float("nan"), "perturb_factor"),
@@ -320,6 +321,12 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         expected = AnalysisConfig(model_path="piezo", methods=("nstc",), output_dir=str(out))
         assert summary["config"] == json.loads(json.dumps(asdict(expected)))
+
+    def test_duplicate_seed_fails(self, tmp_path, capsys):
+        argv = ["analyze", "--model", "piezo", "--method", "attention", "--seed", "1", "1"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_model_path_fails(self, tmp_path, capsys):
         code = main(

@@ -1,11 +1,25 @@
+import json
+import tempfile
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netinstab import SignedWeightedDigraph, nstc, nstc_ranking, nstc_table, two_step_walks
+from netinstab import (
+    NstcRow,
+    NumericalFailure,
+    SignedWeightedDigraph,
+    nstc,
+    nstc_ranking,
+    nstc_table,
+    two_step_walks,
+)
+from netinstab.cli import main
+from netinstab.report import _write_csv, _write_number_csv
+from netinstab.walks import WALK_COLUMNS, all_walks
 from conftest import random_signed_digraph_weights
 
 APPENDIX_NSTC = {
@@ -21,9 +35,9 @@ APPENDIX_NSTC = {
 
 
 def oracle_walks(weights, start):
-    """Independent triple-loop enumeration of the two-step walk rule."""
+    """Independent triple-loop enumeration of the two-step walk rule, in loop order."""
     n = weights.shape[0]
-    found = set()
+    found = []
     for k, i, j in product(range(n), repeat=3):
         if k != start:
             continue
@@ -31,8 +45,28 @@ def oracle_walks(weights, start):
             continue
         if weights[k, i] == 0 or weights[i, j] == 0:
             continue
-        found.add((k, i, j, weights[k, i], weights[i, j]))
+        found.append((k, i, j, weights[k, i], weights[i, j]))
     return found
+
+
+def oracle_nstc(weights, node):
+    """Mean walk product by a sequential builtin `sum` over the oracle's walks."""
+    walks = oracle_walks(weights, node)
+    if not walks:
+        return NstcRow(node=node, n_paths=0, nstc=0.0, no_walks=True)
+    total = sum(float(w1) * float(w2) for _, _, _, w1, w2 in walks)
+    return NstcRow(node=node, n_paths=len(walks), nstc=total / len(walks))
+
+
+@st.composite
+def signed_digraphs(draw):
+    """Signed digraphs with n <= 10, any density, self-loops and some emptied rows."""
+    n = draw(st.integers(1, 10))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = random_signed_digraph_weights(rng, n, density=density)  # diagonal included
+    weights[draw(st.lists(st.integers(0, n - 1), max_size=n)), :] = 0.0
+    return SignedWeightedDigraph(weights=weights)
 
 
 class TestTwoStepWalks:
@@ -60,7 +94,7 @@ class TestTwoStepWalks:
         rng = np.random.default_rng(seed)
         graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density=0.5))
         for start in range(n):
-            got = {(w.start, w.mid, w.end, w.w1, w.w2) for w in two_step_walks(graph, start)}
+            got = [(w.start, w.mid, w.end, w.w1, w.w2) for w in two_step_walks(graph, start)]
             assert got == oracle_walks(graph.weights, start)
 
 
@@ -108,3 +142,71 @@ class TestNstc:
         assert nstc_ranking(SignedWeightedDigraph(weights=w)).order == nstc_ranking(
             SignedWeightedDigraph(weights=c * w)
         ).order
+
+
+class TestVectorisedWalks:
+    """`all_walks` and the tables read from it, against the triple-loop oracle."""
+
+    @given(graph=signed_digraphs())
+    @example(graph=SignedWeightedDigraph(weights=np.array([[1.5]])))
+    @example(graph=SignedWeightedDigraph(weights=np.ones((4, 4))))
+    @settings(max_examples=150, deadline=None)
+    def test_columns_equal_oracle_in_order(self, graph):
+        walks = all_walks(graph)
+        rows = walks.rows()
+        expected = [w for start in range(graph.n) for w in oracle_walks(graph.weights, start)]
+        assert [row[:5] for row in rows] == expected
+        assert len(walks) == len(expected)
+        assert [row[5] for row in rows] == [w1 * w2 for *_, w1, w2, _ in rows]
+
+    @given(graph=signed_digraphs())
+    @example(graph=SignedWeightedDigraph(weights=np.array([[0.0]])))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_sequential_sum_oracle(self, graph):
+        expected = [oracle_nstc(graph.weights, k) for k in range(graph.n)]
+        assert nstc_table(graph) == expected
+        assert nstc_table(graph, all_walks(graph)) == expected
+        assert [nstc(graph, k) for k in range(graph.n)] == expected
+
+    @given(graph=signed_digraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_walk_tree_bytes_equal_generic_csv(self, graph):
+        rows = all_walks(graph).rows()
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, generic = Path(tmp, "fast.csv"), Path(tmp, "generic.csv")
+            _write_number_csv(fast, WALK_COLUMNS, rows)
+            _write_csv(generic, list(WALK_COLUMNS), rows)
+            assert fast.read_bytes() == generic.read_bytes()
+
+
+OVERFLOWING = {
+    # products of +-1e400 overflow to +-inf: node 0's mean is +inf, node 1's is nan
+    "products": [[0, 1e200, 1e200], [-1e200, 0, 1e200], [1e200, 1e200, 0]],
+    # every product is 1.69e308 (finite), but the sum of a node's two walks overflows
+    "sum": [[0, 1.3e154, 1.3e154], [1.3e154, 0, 1.3e154], [1.3e154, 1.3e154, 0]],
+}
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    def test_table_fails_closed_naming_node(self, case):
+        graph = SignedWeightedDigraph(weights=np.array(OVERFLOWING[case]))
+        with pytest.raises(NumericalFailure, match="from node 0 "):
+            nstc_table(graph)
+        with pytest.raises(NumericalFailure, match="from node 1 "):
+            nstc(graph, 1)
+
+    def test_first_bad_node_named(self):
+        w = np.array(OVERFLOWING["products"])
+        w[0] = [0, 1.0, 1.0]  # node 0's products are finite
+        with pytest.raises(NumericalFailure, match="from node 1 "):
+            nstc_table(SignedWeightedDigraph(weights=w))
+
+    def test_analyze_exits_1(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        weights = OVERFLOWING["products"]
+        model.write_text(json.dumps({"n": 3, "adjacency": weights, "features": [[1.0]] * 3}))
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--model", str(model), "--method", "nstc", "--out", out]) == 1
+        assert "from node 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
