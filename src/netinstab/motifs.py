@@ -44,6 +44,15 @@ class MotifScoreRow:
     total_cost: float
 
 
+def check_size(graph: SignedWeightedDigraph, max_nodes: int = DEFAULT_NODE_GUARD) -> None:
+    """Raise `TooLarge` when `graph` is past the exact-enumeration guard."""
+    if graph.n > max_nodes:
+        raise TooLarge(
+            f"the motifs method enumerates cycles exactly and handles at most {max_nodes} "
+            f"nodes, got n={graph.n}"
+        )
+
+
 def enumerate_simple_cycles(
     graph: SignedWeightedDigraph, length: int, max_nodes: int = DEFAULT_NODE_GUARD
 ) -> list[DirectedCycle]:
@@ -57,11 +66,7 @@ def enumerate_simple_cycles(
         raise BadParameter(
             f"cycle length must be in [{MIN_CYCLE_LEN}, {MAX_CYCLE_LEN}], got {length}"
         )
-    if graph.n > max_nodes:
-        raise TooLarge(
-            f"exact enumeration guarded at n <= {max_nodes}, got n={graph.n}; "
-            "raise max_nodes explicitly to override"
-        )
+    check_size(graph, max_nodes)
     w = graph.weights
     n = graph.n
     cycles: list[DirectedCycle] = []

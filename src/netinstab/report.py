@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -20,6 +21,9 @@ from .errors import BadParameter
 from .graph import load_model
 from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 
+# stands in for the nstc walk list while the rest of the summary is encoded
+_WALKS_PLACEHOLDER = "netinstab:walks-placeholder"
+_WALK_CHUNK_ROWS = 4096  # walk rows per C-encoder call, which bounds the text held at once
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
 # each grid point costs one verified O(n^3) eigen-solve per node (about 2 ms at
 # n = 48), so a grid past this (a delta_step of 1e-7 gives 25 million points)
@@ -133,6 +137,51 @@ def _write_number_csv(path: Path, header, rows: list[tuple]) -> None:
     """`_write_csv` for rows of numbers: one %-format per row instead of one `_fmt` per cell."""
     row_format = ",".join(["%.6g"] * len(header)) + "\n"
     path.write_text(",".join(header) + "\n" + "".join(row_format % row for row in rows))
+
+
+def _summary_pieces(summary: dict):
+    """Strings whose concatenation is `json.dumps(summary, indent=2, sort_keys=True)`.
+
+    `json.dumps` falls back to its pure-Python encoder whenever `indent` is set,
+    and the nstc walk list is almost all of the document. So the rest is
+    encoded with a placeholder in place of that list, and the walk rows,
+    `_WALK_CHUNK_ROWS` at a time, by the C encoder with a newline-and-indent item
+    separator; each row boundary is then re-indented the way `indent=2` lays
+    it out. Both encoders write numbers, `Infinity` and `NaN` with the same
+    `float.__repr__` and `int.__repr__` tokens, so the bytes are the same.
+    """
+    nstc = summary["methods"].get("nstc", {})
+    walk_rows = nstc.get("walks")
+    if walk_rows:
+        methods = {**summary["methods"], "nstc": {**nstc, "walks": _WALKS_PLACEHOLDER}}
+        text = json.dumps({**summary, "methods": methods}, indent=2, sort_keys=True)
+        token = json.dumps(_WALKS_PLACEHOLDER)
+        if text.count(token) == 1:  # a config string holding the token takes the one-call form
+            head, _, tail = text.partition(token)
+            line = head[head.rfind("\n") + 1 :]
+            outer = " " * (len(line) - len(line.lstrip(" ")))  # the "walks" key's indent
+            row, cell = outer + "  ", outer + "    "
+            boundary = f"\n{row}],\n{row}[\n{cell}"
+            yield f"{head}[\n{row}[\n{cell}"
+            for lo in range(0, len(walk_rows), _WALK_CHUNK_ROWS):
+                rows = json.dumps(walk_rows[lo : lo + _WALK_CHUNK_ROWS], separators=(",\n" + cell, ":"))
+                # rows hold only numbers, so "],<separator>[" occurs only between two rows
+                yield (boundary if lo else "") + rows[2:-2].replace("],\n" + cell + "[", boundary)
+            yield f"\n{row}]\n{outer}]{tail}"
+            return
+    yield json.dumps(summary, indent=2, sort_keys=True)
+
+
+def _write_summary(path: Path, summary: dict) -> None:
+    """Stream `summary` as indented JSON into a temporary file that then replaces `path`."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(_summary_pieces(summary))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _delta_grid(config: AnalysisConfig) -> list[float]:
@@ -262,8 +311,18 @@ def run(config: AnalysisConfig) -> dict:
     Writes one set of CSV artifacts per method plus summary.json into the
     output directory. The summary is self-contained: every number in the
     per-method CSVs appears in it. Deterministic given the config.
+
+    summary.json holds exactly `json.dumps(summary, indent=2, sort_keys=True)`.
+    It is streamed in pieces, with the walk list encoded by json's C encoder,
+    into a temporary file that then atomically replaces any summary.json
+    already there (see `_summary_pieces`).
+
+    A graph past the motif enumeration guard is refused before any method
+    runs or any file is written.
     """
     graph, features = load_model(config.model_path, config.variant)
+    if "motifs" in config.methods:
+        motifs.check_size(graph)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -285,7 +344,7 @@ def run(config: AnalysisConfig) -> dict:
     if len(tables) >= 2:
         report = concordance(tables, config.top_k)
         summary["concordance"] = concordance_to_dict(report)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    _write_summary(out / "summary.json", summary)
     return summary
 
 

@@ -1,14 +1,21 @@
 import json
+import math
+import os
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netinstab import (
     AgcnHyperparams,
     AnalysisConfig,
     BadParameter,
+    TooLarge,
     concordance,
     node_attention_scores,
     nstc_ranking,
@@ -17,8 +24,10 @@ from netinstab import (
 )
 from netinstab.cli import main
 from netinstab.report import (
+    _WALKS_PLACEHOLDER,
     MAX_DELTA_POINTS,
     _delta_grid,
+    _write_summary,
     concordance_from_summary,
     run,
     tables_from_summary,
@@ -184,28 +193,29 @@ class TestRun:
             run(config)
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        for out in (out_a, out_b):
-            run(
-                AnalysisConfig(
-                    methods=("attention", "spectral", "motifs", "nstc"),
-                    output_dir=str(out),
-                    seeds=(0,),
-                    iterations=50,
-                )
-            )
-        names = sorted(p.name for p in out_a.iterdir())
-        assert names == sorted(p.name for p in out_b.iterdir())
-        for name in names:
-            a_bytes = (out_a / name).read_bytes()
-            b_bytes = (out_b / name).read_bytes()
-            if name == "summary.json":
-                a_doc, b_doc = json.loads(a_bytes), json.loads(b_bytes)
-                a_doc["config"].pop("output_dir")
-                b_doc["config"].pop("output_dir")
-                assert a_doc == b_doc
-            else:
-                assert a_bytes == b_bytes, name
+        config = AnalysisConfig(
+            methods=("attention", "spectral", "motifs", "nstc"),
+            output_dir=str(tmp_path),
+            seeds=(0,),
+            iterations=50,
+        )
+        run(config)
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for name in first:  # the rerun must write every file again
+            (tmp_path / name).unlink()
+        run(config)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+        assert "summary.json" in first
+
+    def test_motif_guard_refuses_before_any_file_is_written(self, tmp_path):
+        n = 17
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"n": n, "adjacency": np.eye(n, k=1).tolist(), "features": [[1.0]] * n}))
+        out = tmp_path / "out"
+        config = AnalysisConfig(model_path=str(model), methods=("spectral", "motifs"), output_dir=str(out))
+        with pytest.raises(TooLarge, match="motifs method .* at most 16 nodes"):
+            run(config)
+        assert not out.exists()
 
     def test_summary_contains_every_csv_number(self, tmp_path):
         config = AnalysisConfig(
@@ -268,6 +278,60 @@ class TestRun:
         assert tables["nstc"].order[:2] == (6, 2)
         report = concordance_from_summary(summary)
         assert report.pairs["motifs|nstc"].top_k_jaccard == 1.0
+
+
+FLOAT_EDGES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.2e-308, 1e-310, -1e300]
+numbers = st.one_of(
+    st.sampled_from(FLOAT_EDGES), st.floats(allow_nan=True, allow_infinity=True), st.integers()
+)
+walk_row = st.tuples(st.integers(0, 200), st.integers(0, 200), st.integers(0, 200), numbers, numbers, numbers)
+output_dirs = st.one_of(
+    st.text(max_size=8),
+    st.just(_WALKS_PLACEHOLDER),  # encodes to the very token that marks the walk list
+    st.builds(lambda a, b: a + _WALKS_PLACEHOLDER + b, st.text(max_size=3), st.text(max_size=3)),
+)
+
+
+@st.composite
+def summaries(draw):
+    methods = {"motifs": {"rows": draw(st.lists(st.dictionaries(st.sampled_from("ab"), numbers), max_size=3))}}
+    if draw(st.booleans()):
+        methods["nstc"] = {
+            "rows": [{"node": 0, "n_paths": 1, "nstc": draw(numbers)}],
+            "scores": draw(st.lists(numbers, max_size=3)),
+            "walks": draw(st.lists(walk_row, max_size=12)),  # empty, one row, several chunks
+        }
+    return {"config": {"output_dir": draw(output_dirs), "top_k": 2}, "n": 3, "methods": methods}
+
+
+class TestSummaryWriter:
+    def write(self, summary) -> bytes:
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "summary.json"
+            _write_summary(path, summary)
+            assert os.listdir(d) == ["summary.json"]
+            return path.read_bytes()
+
+    @given(summary=summaries(), chunk_rows=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_indented_dumps(self, summary, chunk_rows):
+        expected = json.dumps(summary, indent=2, sort_keys=True).encode()
+        with mock.patch("netinstab.report._WALK_CHUNK_ROWS", chunk_rows):
+            assert self.write(summary) == expected
+
+    def test_several_default_chunks(self):
+        walks = [(i % 7, i % 5, i % 3, i * 0.1, -1.0 / (i + 1), math.inf if i == 3 else i * 1e-320) for i in range(10_000)]
+        summary = {"config": {"output_dir": "out"}, "methods": {"nstc": {"walks": walks, "rows": []}}}
+        assert self.write(summary) == json.dumps(summary, indent=2, sort_keys=True).encode()
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        path.write_text("old")
+        walks = [(0, 1, 2, 1.0, 1.0, 1.0)] * 5000 + [(0, 1, 2, 1.0, 1.0, object())]
+        with pytest.raises(TypeError):  # raised in the second chunk, after the first is written
+            _write_summary(path, {"config": {}, "methods": {"nstc": {"walks": walks}}})
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["summary.json"]
 
 
 class TestCli:
