@@ -7,6 +7,7 @@ import numpy as np
 
 from netinstab import AgcnHyperparams, load_model, node_attention_scores, train
 from netinstab.agcn import perturb_features
+from netinstab.report import CONVERGENCE_LOSS
 
 
 def main():
@@ -37,7 +38,7 @@ def main():
             top2 = sorted(node_attention_scores(state.alpha).top(2))
             print(
                 f"{seed:>4} {state.loss_history[0]:>9.5f} {state.final_loss:>9.5f} "
-                f"{str(state.final_loss <= 0.005):>5} {str(sep):>5}  {top2}"
+                f"{str(state.final_loss <= CONVERGENCE_LOSS):>5} {str(sep):>5}  {top2}"
             )
 
 

@@ -240,6 +240,6 @@ def perturb_features(features: FeatureMatrix, node: int, factor: float = 2.0) ->
 
 
 def node_attention_scores(alpha: np.ndarray) -> NodeScoreTable:
-    """Per-node mean of the attention it receives (alpha's column means), ranked descending."""
+    """Per-node mean of the attention it receives (alpha's column means), ranked."""
     alpha = np.asarray(alpha, dtype=float)
-    return ranked_table("attention", alpha.mean(axis=0), descending=True)
+    return ranked_table("attention", alpha.mean(axis=0))

@@ -10,16 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import BadParameter, NetinstabError
-from .report import (
-    METHODS,
-    AnalysisConfig,
-    concordance_from_summary,
-    concordance_to_dict,
-    run,
-)
+from .graph import VARIANTS
+from .report import METHODS, AnalysisConfig, concordance_from_summary, run
 
 
 def _parse_methods(raw: str) -> tuple[str, ...]:
@@ -39,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         argument_default=argparse.SUPPRESS,
     )
     an.add_argument("--model", dest="model_path", required=True, help="model JSON path, or 'piezo' for the bundled fixture")
-    an.add_argument("--variant", choices=("appendix", "printed"))
+    an.add_argument("--variant", choices=VARIANTS)
     an.add_argument("--method", dest="methods", type=_parse_methods, required=True, help=f"comma-separated subset of {','.join(METHODS)}, or 'all'")
     an.add_argument("--out", dest="output_dir", required=True, help="output directory for artifacts")
     an.add_argument("--seed", dest="seeds", type=int, nargs="+", help="training seed(s)")
@@ -80,7 +76,7 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             raise BadParameter(f"summary file is not valid JSON: {exc}") from exc
         report = concordance_from_summary(summary, args.top_k)
-        print(json.dumps(concordance_to_dict(report), indent=2, sort_keys=True))
+        print(json.dumps(asdict(report), indent=2, sort_keys=True))
         return 0
     except NetinstabError as exc:
         print(f"error: {exc}", file=sys.stderr)

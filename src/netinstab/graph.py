@@ -18,7 +18,7 @@ from .errors import BadNode, BadParameter, MalformedModel
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 _FIXTURE_ALIAS = "piezo"
-_VARIANTS = ("appendix", "printed")
+VARIANTS = ("appendix", "printed")
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,8 @@ def fixture_path(variant: str = "appendix") -> Path:
     carries +1.3083 (canonical; every reference score value assumes it),
     `printed` carries -1.3083.
     """
-    if variant not in _VARIANTS:
-        raise BadParameter(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    if variant not in VARIANTS:
+        raise BadParameter(f"variant must be one of {VARIANTS}, got {variant!r}")
     return _FIXTURE_DIR / f"piezo_{variant}.json"
 
 
@@ -116,8 +116,8 @@ def load_model(source, variant: str = "appendix") -> tuple[SignedWeightedDigraph
     a path, including one to a bundled fixture file, is loaded as-is and
     `variant` has no effect.
     """
-    if variant not in _VARIANTS:
-        raise BadParameter(f"variant must be one of {_VARIANTS}, got {variant!r}")
+    if variant not in VARIANTS:
+        raise BadParameter(f"variant must be one of {VARIANTS}, got {variant!r}")
     path = fixture_path(variant) if str(source) == _FIXTURE_ALIAS else Path(source)
     if not path.exists():
         raise MalformedModel(f"model file not found: {path}")

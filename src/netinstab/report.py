@@ -1,10 +1,10 @@
 """Analysis orchestration: run selected methods on a model file, emit CSV/JSON
 artifacts, and measure agreement between the resulting node rankings.
 
-Rankings are oriented so rank 1 is "most unstable" (or most attended); the
-`METHODS` registry holds each method's orientation and runner. Artifacts use
-fixed 6-significant-digit float formatting so identical configs reproduce
-byte-identical files.
+Rankings are oriented so rank 1 is "most unstable" (or most attended), by
+`scores.DESCENDING`; `METHODS` holds each method's runner in run order.
+Artifacts use fixed 6-significant-digit float formatting so identical configs
+reproduce byte-identical files.
 """
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import Callable
 
 from . import agcn, motifs, spectral, walks
 from .errors import BadParameter
@@ -64,6 +62,7 @@ class AnalysisConfig:
                 f"delta_step={self.delta_step} from delta_min={self.delta_min} to "
                 f"delta_max={self.delta_max} gives more than {MAX_DELTA_POINTS} grid points"
             )
+        self.delta_grid()
         if self.top_k < 1:
             raise BadParameter(f"top_k must be >= 1, got {self.top_k}")
         if not self.seeds:
@@ -74,6 +73,22 @@ class AnalysisConfig:
             self.hyperparams(seed)
         if len(set(self.seeds)) != len(self.seeds):  # a repeat would train twice and keep one
             raise BadParameter(f"seeds must not repeat, got {list(self.seeds)}")
+
+    def delta_grid(self) -> list[float]:
+        """The sweep's perturbation sizes, from delta_min to delta_max in delta_step steps."""
+        grid = []
+        k = 0
+        while True:
+            d = self.delta_min + k * self.delta_step
+            if d > self.delta_max + 1e-12:
+                break
+            grid.append(round(d, 12))
+            k += 1
+        if not grid:
+            raise BadParameter(
+                f"empty delta grid: delta_min={self.delta_min} delta_max={self.delta_max}"
+            )
+        return grid
 
     def hyperparams(self, seed: int) -> agcn.AgcnHyperparams:
         """The training settings for one of `seeds`."""
@@ -126,17 +141,17 @@ def _fmt(value) -> str:
     return f"{value:.6g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_number_csv(path: Path, header, rows: list[tuple]) -> None:
-    """`_write_csv` for rows of numbers: one %-format per row instead of one `_fmt` per cell."""
+def _number_csv(header, rows: list[tuple]) -> str:
+    """`_csv` for rows of numbers: one %-format per row instead of one `_fmt` per cell."""
     row_format = ",".join(["%.6g"] * len(header)) + "\n"
-    path.write_text(",".join(header) + "\n" + "".join(row_format % row for row in rows))
+    return ",".join(header) + "\n" + "".join(row_format % row for row in rows)
 
 
 def _summary_pieces(summary: dict):
@@ -184,22 +199,6 @@ def _write_summary(path: Path, summary: dict) -> None:
         raise
 
 
-def _delta_grid(config: AnalysisConfig) -> list[float]:
-    grid = []
-    k = 0
-    while True:
-        d = config.delta_min + k * config.delta_step
-        if d > config.delta_max + 1e-12:
-            break
-        grid.append(round(d, 12))
-        k += 1
-    if not grid:
-        raise BadParameter(
-            f"empty delta grid: delta_min={config.delta_min} delta_max={config.delta_max}"
-        )
-    return grid
-
-
 def _ranking(table: NodeScoreTable) -> dict:
     """The summary's per-node `scores` and 1-based `ranks` of a table."""
     return {
@@ -208,7 +207,7 @@ def _ranking(table: NodeScoreTable) -> dict:
     }
 
 
-def _run_attention(config: AnalysisConfig, graph, features, out: Path, rank) -> tuple:
+def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
     if graph.node_labels is None:
         raise BadParameter("model has no 'labels' field; the attention method needs targets")
     if config.perturb_node is not None:
@@ -216,28 +215,22 @@ def _run_attention(config: AnalysisConfig, graph, features, out: Path, rank) -> 
     states, tables = {}, {}
     for seed in config.seeds:
         states[seed] = agcn.train(graph, features, graph.node_labels, config.hyperparams(seed))
-        # agcn supplies the scores; the ranking follows this method's registry orientation
-        tables[seed] = rank(agcn.node_attention_scores(states[seed].alpha).scores)
+        tables[seed] = agcn.node_attention_scores(states[seed].alpha)
     converged = {seed: state.final_loss <= CONVERGENCE_LOSS for seed, state in states.items()}
     representative = next((s for s in config.seeds if converged[s]), config.seeds[0])
     state, table = states[representative], tables[representative]
 
-    _write_csv(
-        out / "loss_history.csv",
-        ["iteration", "loss"],
-        [[i, loss] for i, loss in enumerate(state.loss_history)],
-    )
-    _write_csv(
-        out / "alpha.csv",
-        [f"to_{j}" for j in range(graph.n)],
-        [list(row) for row in state.alpha],
-    )
-    _write_csv(
-        out / "attention_scores.csv",
-        ["node", "score", "rank"],
-        [[node, table.scores[node], table.rank_of(node)] for node in range(graph.n)],
-    )
-    return table, {
+    files = {
+        "loss_history.csv": _csv(
+            ["iteration", "loss"], [[i, loss] for i, loss in enumerate(state.loss_history)]
+        ),
+        "alpha.csv": _csv([f"to_{j}" for j in range(graph.n)], [list(row) for row in state.alpha]),
+        "attention_scores.csv": _csv(
+            ["node", "score", "rank"],
+            [[node, table.scores[node], table.rank_of(node)] for node in range(graph.n)],
+        ),
+    }
+    return table, files, {
         "representative_seed": representative,
         "perturb_node": config.perturb_node,
         "perturb_factor": config.perturb_factor if config.perturb_node is not None else None,
@@ -255,53 +248,46 @@ def _run_attention(config: AnalysisConfig, graph, features, out: Path, rank) -> 
     }
 
 
-def _run_spectral(config: AnalysisConfig, graph, features, out: Path, rank) -> tuple:
-    table = spectral.perturbation_sweep(graph, _delta_grid(config))
+def _run_spectral(config: AnalysisConfig, graph, features) -> tuple:
+    table = spectral.perturbation_sweep(graph, config.delta_grid())
     cells = [asdict(table.cells[key]) for key in sorted(table.cells)]
-    _write_csv(
-        out / "spectral_sweep.csv",
+    csv = _csv(
         ["node", "delta", "largest_negative_eigenvalue", "status"],
         [list(cell.values()) for cell in cells],
     )
-    return rank(spectral.sweep_end_scores(table)), {"deltas": list(table.deltas), "cells": cells}
+    ranking = ranked_table("spectral", spectral.sweep_end_scores(table))
+    return ranking, {"spectral_sweep.csv": csv}, {"deltas": list(table.deltas), "cells": cells}
 
 
-def _run_motifs(config: AnalysisConfig, graph, features, out: Path, rank) -> tuple:
+def _run_motifs(config: AnalysisConfig, graph, features) -> tuple:
     rows = [asdict(r) for r in motifs.motif_table(graph)]
-    _write_csv(
-        out / "motif_costs.csv",
-        ["node", "w3", "w4", "w5", "w6", "total_cost"],
-        [list(r.values()) for r in rows],
-    )
-    return rank([r["total_cost"] for r in rows]), {"rows": rows}
+    csv = _csv(["node", "w3", "w4", "w5", "w6", "total_cost"], [list(r.values()) for r in rows])
+    table = ranked_table("motifs", [r["total_cost"] for r in rows])
+    return table, {"motif_costs.csv": csv}, {"rows": rows}
 
 
-def _run_nstc(config: AnalysisConfig, graph, features, out: Path, rank) -> tuple:
+def _run_nstc(config: AnalysisConfig, graph, features) -> tuple:
     all_walks = walks.all_walks(graph)
     rows = walks.nstc_table(graph, all_walks)
-    table = rank([r.nstc for r in rows])
-    _write_csv(
-        out / "nstc.csv",
-        ["node", "n_paths", "nstc", "rank"],
-        [[r.node, r.n_paths, r.nstc, table.rank_of(r.node)] for r in rows],
-    )
+    table = ranked_table("nstc", [r.nstc for r in rows])
     walk_rows = all_walks.rows()
-    _write_number_csv(out / "walk_tree.csv", walks.WALK_COLUMNS, walk_rows)
-    return table, {"rows": [asdict(r) for r in rows], "walks": walk_rows}
+    files = {
+        "nstc.csv": _csv(
+            ["node", "n_paths", "nstc", "rank"],
+            [[r.node, r.n_paths, r.nstc, table.rank_of(r.node)] for r in rows],
+        ),
+        "walk_tree.csv": _number_csv(walks.WALK_COLUMNS, walk_rows),
+    }
+    return table, files, {"rows": [asdict(r) for r in rows], "walks": walk_rows}
 
 
-@dataclass(frozen=True)
-class Method:
-    descending: bool  # True: the largest score ranks first
-    run: Callable  # (config, graph, features, out, rank) -> (table, summary fields)
-
-
-# Run order; each method's ranking orientation is stated here and nowhere else.
+# Run order. Each runner maps (config, graph, features) to its ranking, its CSV
+# files as {file name: text} and its summary fields, and does no I/O.
 METHODS = {
-    "attention": Method(descending=True, run=_run_attention),  # most attention received
-    "spectral": Method(descending=True, run=_run_spectral),  # end eigenvalue closest to zero
-    "motifs": Method(descending=True, run=_run_motifs),  # largest imbalance cost
-    "nstc": Method(descending=False, run=_run_nstc),  # most negative walk cost
+    "attention": _run_attention,
+    "spectral": _run_spectral,
+    "motifs": _run_motifs,
+    "nstc": _run_nstc,
 }
 
 
@@ -318,22 +304,27 @@ def run(config: AnalysisConfig) -> dict:
     already there (see `_summary_pieces`).
 
     A graph past the motif enumeration guard is refused before any method
-    runs or any file is written.
+    runs or any file is written. The CSVs are written only after every
+    selected method has succeeded, so a run that raises writes none.
     """
     graph, features = load_model(config.model_path, config.variant)
     if "motifs" in config.methods:
         motifs.check_size(graph)
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise BadParameter(f"output_dir {config.output_dir!r} cannot be created: {exc}") from exc
 
     tables: dict[str, NodeScoreTable] = {}
+    files: dict[str, str] = {}
     method_summaries = {}
-    for name, method in METHODS.items():
+    for name, runner in METHODS.items():
         if name not in config.methods:
             continue
-        rank = partial(ranked_table, name, descending=method.descending)
-        table, fields = method.run(config, graph, features, out, rank)
+        table, method_files, fields = runner(config, graph, features)
         tables[name] = table
+        files.update(method_files)
         method_summaries[name] = {**fields, **_ranking(table)}
 
     summary = {
@@ -342,24 +333,11 @@ def run(config: AnalysisConfig) -> dict:
         "methods": method_summaries,
     }
     if len(tables) >= 2:
-        report = concordance(tables, config.top_k)
-        summary["concordance"] = concordance_to_dict(report)
+        summary["concordance"] = asdict(concordance(tables, config.top_k))
+    for name in list(files):  # each text is dropped once written, before the summary is encoded
+        (out / name).write_text(files.pop(name))
     _write_summary(out / "summary.json", summary)
     return summary
-
-
-def concordance_to_dict(report: ConcordanceReport) -> dict:
-    return {
-        "top_k": report.top_k,
-        "pairs": {
-            key: {
-                "top_k_jaccard": pair.top_k_jaccard,
-                "spearman_rho": pair.spearman_rho,
-                "top_k": pair.top_k,
-            }
-            for key, pair in report.pairs.items()
-        },
-    }
 
 
 def _json_object(value, where: str) -> dict:
@@ -384,7 +362,7 @@ def tables_from_summary(summary: dict) -> dict[str, NodeScoreTable]:
                 raise BadParameter(
                     f"summary field 'methods.{name}.scores' must be a list of numbers or nulls"
                 )
-            tables[name] = ranked_table(name, scores, descending=METHODS[name].descending)
+            tables[name] = ranked_table(name, scores)
     return tables
 
 

@@ -34,11 +34,23 @@ class NodeScoreTable:
         return frozenset(self.order[: min(k, self.n)])
 
 
-def ranked_table(method: str, scores, descending: bool = True) -> NodeScoreTable:
-    """Build a table ranking nodes by score; None scores go last, ties by index."""
+# Each method's ranking orientation, stated here and nowhere else, in run order.
+# True ranks the largest score first.
+DESCENDING = {
+    "attention": True,  # most attention received
+    "spectral": True,  # end eigenvalue closest to zero
+    "motifs": True,  # largest imbalance cost
+    "nstc": False,  # most negative walk cost
+}
+
+
+def ranked_table(method: str, scores) -> NodeScoreTable:
+    """Rank nodes by score in `method`'s orientation; None scores go last, ties by index."""
+    if method not in DESCENDING:
+        raise BadParameter(f"unknown method {method!r}; valid: {list(DESCENDING)}")
     vals = [None if s is None or (isinstance(s, float) and math.isnan(s)) else float(s)
             for s in scores]
-    sign = -1.0 if descending else 1.0
+    sign = -1.0 if DESCENDING[method] else 1.0
 
     def key(node):
         s = vals[node]

@@ -134,6 +134,6 @@ def nstc_table(graph: SignedWeightedDigraph, walks: Walks | None = None) -> list
 
 
 def nstc_ranking(graph: SignedWeightedDigraph) -> NodeScoreTable:
-    """Rank all nodes ascending by score: most negative first (strongest spreader)."""
+    """Rank all nodes by score: most negative first (strongest spreader)."""
     rows = nstc_table(graph)
-    return ranked_table("nstc", [r.nstc for r in rows], descending=False)
+    return ranked_table("nstc", [r.nstc for r in rows])

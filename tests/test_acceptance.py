@@ -193,7 +193,7 @@ def test_criterion_6_attention_top2_and_agreement(piezo_model, trained_runs):
         tables = {
             "attention": node_attention_scores(trained_runs[("plain", passing_seed)].alpha),
             "motifs": __import__("netinstab").ranked_table(
-                "motifs", [r.total_cost for r in motif_table(graph)], descending=True
+                "motifs", [r.total_cost for r in motif_table(graph)]
             ),
             "nstc": nstc_ranking(graph),
         }

@@ -26,7 +26,6 @@ from netinstab.cli import main
 from netinstab.report import (
     _WALKS_PLACEHOLDER,
     MAX_DELTA_POINTS,
-    _delta_grid,
     _write_summary,
     concordance_from_summary,
     run,
@@ -53,7 +52,7 @@ class TestConcordance:
     def test_reversed_rankings(self):
         scores = [8, 7, 6, 5, 4, 3, 2, 1]
         a = ranked_table("attention", scores)
-        b = ranked_table("nstc", scores, descending=False)
+        b = ranked_table("nstc", scores)  # ascending: the reverse of attention
         report = concordance({"attention": a, "nstc": b}, top_k=2)
         assert report.pairs["attention|nstc"].spearman_rho == pytest.approx(-1.0)
 
@@ -75,12 +74,16 @@ class TestConcordance:
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
-        a = ranked_table("a", rng.normal(size=6))
-        b = ranked_table("b", rng.normal(size=6))
-        r1 = concordance({"a": a, "b": b}, top_k=2).pairs["a|b"]
-        r2 = concordance({"b": b, "a": a}, top_k=2).pairs["a|b"]
+        a = ranked_table("attention", rng.normal(size=6))
+        b = ranked_table("motifs", rng.normal(size=6))
+        r1 = concordance({"attention": a, "motifs": b}, top_k=2).pairs["attention|motifs"]
+        r2 = concordance({"motifs": b, "attention": a}, top_k=2).pairs["attention|motifs"]
         assert r1.top_k_jaccard == r2.top_k_jaccard
         assert r1.spearman_rho == r2.spearman_rho
+
+    def test_unknown_method_has_no_orientation(self):
+        with pytest.raises(BadParameter, match="'voodoo'"):
+            ranked_table("voodoo", [1.0, 2.0])
 
 
 class TestConfig:
@@ -132,7 +135,11 @@ class TestConfig:
 
     def test_grid_at_the_point_cap_accepted(self):
         config = AnalysisConfig(delta_min=0.0, delta_max=999.0, delta_step=1.0)
-        assert len(_delta_grid(config)) == MAX_DELTA_POINTS
+        assert len(config.delta_grid()) == MAX_DELTA_POINTS
+
+    def test_empty_grid_rejected_before_running(self):
+        with pytest.raises(BadParameter, match="empty delta grid: delta_min=3"):
+            AnalysisConfig(delta_min=3, delta_max=0.5)
 
 
 class TestRun:
@@ -391,6 +398,13 @@ class TestCli:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
         assert "seeds" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_out_that_is_a_file_fails_with_diagnostic(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert main(["analyze", "--model", "piezo", "--method", "nstc", "--out", str(out)]) == 1
+        assert "output_dir" in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
 
     def test_bad_model_path_fails(self, tmp_path, capsys):
         code = main(

@@ -1,7 +1,5 @@
 import json
-import tempfile
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from netinstab import (
     two_step_walks,
 )
 from netinstab.cli import main
-from netinstab.report import _write_csv, _write_number_csv
+from netinstab.report import AnalysisConfig, _csv, _number_csv, run
 from netinstab.walks import WALK_COLUMNS, all_walks
 from conftest import random_signed_digraph_weights
 
@@ -172,11 +170,7 @@ class TestVectorisedWalks:
     @settings(max_examples=60, deadline=None)
     def test_walk_tree_bytes_equal_generic_csv(self, graph):
         rows = all_walks(graph).rows()
-        with tempfile.TemporaryDirectory() as tmp:
-            fast, generic = Path(tmp, "fast.csv"), Path(tmp, "generic.csv")
-            _write_number_csv(fast, WALK_COLUMNS, rows)
-            _write_csv(generic, list(WALK_COLUMNS), rows)
-            assert fast.read_bytes() == generic.read_bytes()
+        assert _number_csv(WALK_COLUMNS, rows) == _csv(list(WALK_COLUMNS), rows)
 
 
 OVERFLOWING = {
@@ -210,3 +204,13 @@ class TestOverflow:
         assert main(["analyze", "--model", str(model), "--method", "nstc", "--out", out]) == 1
         assert "from node 0" in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_failed_run_writes_no_csv(self, tmp_path):
+        model = tmp_path / "model.json"
+        weights = OVERFLOWING["products"]
+        model.write_text(json.dumps({"n": 3, "adjacency": weights, "features": [[1.0]] * 3}))
+        out = tmp_path / "out"
+        config = AnalysisConfig(model_path=str(model), methods=("motifs", "nstc"), output_dir=str(out))
+        with pytest.raises(NumericalFailure, match="from node 0"):  # motifs succeeds, nstc fails
+            run(config)
+        assert list(out.iterdir()) == []
