@@ -7,15 +7,15 @@ import numpy as np
 
 from netinstab import AgcnHyperparams, load_model, node_attention_scores, train
 from netinstab.agcn import perturb_features
-from netinstab.report import CONVERGENCE_LOSS
+from netinstab.report import CONVERGENCE_LOSS, AnalysisConfig
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
-    ap.add_argument("--iters", type=int, default=500)
+    ap.add_argument("--iters", type=int, default=AgcnHyperparams.iterations)
     ap.add_argument("--perturb-node", type=int, default=0)
-    ap.add_argument("--perturb-factor", type=float, default=2.0)
+    ap.add_argument("--perturb-factor", type=float, default=AnalysisConfig.perturb_factor)
     args = ap.parse_args()
 
     graph, features = load_model("piezo", "appendix")

@@ -23,7 +23,8 @@ class BadMatrix(NetinstabError):
 
 class NumericalFailure(NetinstabError):
     """A numerical result is unusable: an eigenvalue computation failed to
-    converge or failed verification, or walk costs overflowed to non-finite."""
+    converge or failed verification, or walk or motif costs overflowed to
+    non-finite."""
 
 
 class TooLarge(NetinstabError):

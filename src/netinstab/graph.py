@@ -19,6 +19,10 @@ from .errors import BadNode, BadParameter, MalformedModel
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 _FIXTURE_ALIAS = "piezo"
 VARIANTS = ("appendix", "printed")
+# The variants differ only in the sign of coupling entry (3, 1): the bundled
+# fixture holds the appendix's +1.3083 (every reference score assumes it), and
+# `printed` negates it.
+_PRINTED_SIGN_FLIP = (3, 1)
 
 
 @dataclass(frozen=True)
@@ -27,7 +31,6 @@ class SignedWeightedDigraph:
 
     weights: np.ndarray
     node_labels: np.ndarray | None = None
-    cluster_of: tuple | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -53,18 +56,6 @@ class SignedWeightedDigraph:
                 raise MalformedModel("labels contain non-finite entries")
             lab.setflags(write=False)
             object.__setattr__(self, "node_labels", lab)
-        if self.cluster_of is not None:
-            try:
-                cl = tuple(self.cluster_of)
-            except TypeError as exc:
-                raise MalformedModel(f"clusters must be a list, got {self.cluster_of!r}") from exc
-            if len(cl) != w.shape[0]:
-                raise MalformedModel(
-                    f"clusters must have one entry per node, got {len(cl)} for n={w.shape[0]}"
-                )
-            if not all(isinstance(c, (int, np.integer)) for c in cl):
-                raise MalformedModel(f"clusters must be integer ids, got {list(cl)!r}")
-            object.__setattr__(self, "cluster_of", cl)
 
     @property
     def n(self) -> int:
@@ -96,40 +87,37 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def fixture_path(variant: str = "appendix") -> Path:
-    """Path of the bundled piezo actuator fixture for the given variant.
-
-    The two variants differ in the sign of coupling entry (3, 1): `appendix`
-    carries +1.3083 (canonical; every reference score value assumes it),
-    `printed` carries -1.3083.
-    """
-    if variant not in VARIANTS:
-        raise BadParameter(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return _FIXTURE_DIR / f"piezo_{variant}.json"
+def fixture_path() -> Path:
+    """Path of the bundled piezo actuator fixture, the `appendix` variant."""
+    return _FIXTURE_DIR / "piezo_appendix.json"
 
 
 def load_model(source, variant: str = "appendix") -> tuple[SignedWeightedDigraph, FeatureMatrix]:
     """Load a model file and return its graph and feature matrix.
 
     `source` is either a path to a model JSON document or the bundled-fixture
-    alias "piezo". For the alias `variant` selects which fixture file is read;
-    a path, including one to a bundled fixture file, is loaded as-is and
-    `variant` has no effect.
+    alias "piezo". For the alias `variant` selects the appendix fixture as
+    bundled or with entry (3, 1) negated (`printed`); a path, including the
+    bundled fixture's own, is loaded as-is and `variant` has no effect.
     """
     if variant not in VARIANTS:
         raise BadParameter(f"variant must be one of {VARIANTS}, got {variant!r}")
-    path = fixture_path(variant) if str(source) == _FIXTURE_ALIAS else Path(source)
+    alias = str(source) == _FIXTURE_ALIAS
+    path = fixture_path() if alias else Path(source)
     if not path.exists():
         raise MalformedModel(f"model file not found: {path}")
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise MalformedModel(f"model file is not valid JSON: {exc}") from exc
+    if alias and variant == "printed":
+        i, j = _PRINTED_SIGN_FLIP
+        doc["adjacency"][i][j] = -doc["adjacency"][i][j]
     return model_from_dict(doc)
 
 
 def model_from_dict(doc: dict) -> tuple[SignedWeightedDigraph, FeatureMatrix]:
-    """Build (graph, features) from a parsed model document."""
+    """Build (graph, features) from a parsed model document; unknown keys are ignored."""
     for key in ("n", "adjacency", "features"):
         if key not in doc:
             raise MalformedModel(f"model document is missing field {key!r}")
@@ -142,11 +130,7 @@ def model_from_dict(doc: dict) -> tuple[SignedWeightedDigraph, FeatureMatrix]:
     feat = np.asarray(doc["features"], dtype=float)
     if feat.ndim != 2 or feat.shape[0] != n:
         raise MalformedModel(f"features must have {n} rows, got shape {feat.shape}")
-    graph = SignedWeightedDigraph(
-        weights=adj,
-        node_labels=doc.get("labels"),
-        cluster_of=doc.get("clusters"),
-    )
+    graph = SignedWeightedDigraph(weights=adj, node_labels=doc.get("labels"))
     return graph, FeatureMatrix(values=feat)
 
 
@@ -159,8 +143,6 @@ def model_to_dict(graph: SignedWeightedDigraph, features: FeatureMatrix) -> dict
     }
     if graph.node_labels is not None:
         doc["labels"] = graph.node_labels.tolist()
-    if graph.cluster_of is not None:
-        doc["clusters"] = list(graph.cluster_of)
     return doc
 
 
@@ -190,9 +172,7 @@ def perturb_column(graph: SignedWeightedDigraph, node: int, delta: float) -> Sig
     w = graph.weights.copy()
     mask = w[:, node] != 0
     w[mask, node] += delta
-    return SignedWeightedDigraph(
-        weights=w, node_labels=graph.node_labels, cluster_of=graph.cluster_of
-    )
+    return SignedWeightedDigraph(weights=w, node_labels=graph.node_labels)
 
 
 def _check_node(graph: SignedWeightedDigraph, node: int) -> None:

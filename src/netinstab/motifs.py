@@ -12,9 +12,12 @@ sampled, since the scores are only meaningful under exhaustive counting.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import BadParameter, TooLarge
+import numpy as np
+
+from .errors import BadParameter, NumericalFailure, TooLarge
 from .graph import SignedWeightedDigraph, _check_node, total_degree
 
 MIN_CYCLE_LEN = 3
@@ -87,11 +90,12 @@ def enumerate_simple_cycles(
             extend(start, nxt, depth + 1, product * w[node, nxt])
             in_path[nxt] = False
 
-    for start in range(n):
-        path[0] = start
-        in_path[start] = True
-        extend(start, start, 1, 1.0)
-        in_path[start] = False
+    with np.errstate(over="ignore"):  # an infinite product fails in `motif_table`, not here
+        for start in range(n):
+            path[0] = start
+            in_path[start] = True
+            extend(start, start, 1, 1.0)
+            in_path[start] = False
     return cycles
 
 
@@ -132,11 +136,15 @@ def total_cost(graph: SignedWeightedDigraph, node: int) -> MotifScoreRow:
 
 
 def motif_table(graph: SignedWeightedDigraph) -> list[MotifScoreRow]:
-    """Scores for every node, enumerating each cycle length once."""
+    """Scores for every node, enumerating each cycle length once.
+
+    Raises `NumericalFailure` naming the first node with a non-finite score or
+    total cost, which cycle weight products past float64 give.
+    """
     w3, w4, w5, w6 = (
         _imbalanced_scores(graph, k) for k in range(MIN_CYCLE_LEN, MAX_CYCLE_LEN + 1)
     )
-    return [
+    rows = [
         MotifScoreRow(
             node=node,
             w3=w3[node],
@@ -147,3 +155,10 @@ def motif_table(graph: SignedWeightedDigraph) -> list[MotifScoreRow]:
         )
         for node in range(graph.n)
     ]
+    for row in rows:
+        if not all(map(math.isfinite, (row.w3, row.w4, row.w5, row.w6, row.total_cost))):
+            raise NumericalFailure(
+                f"motif cost of node {row.node} is not finite ({row}): "
+                "cycle weight products overflow float64"
+            )
+    return rows

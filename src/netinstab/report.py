@@ -36,9 +36,9 @@ class AnalysisConfig:
     methods: tuple[str, ...] = field(default_factory=lambda: tuple(METHODS))
     output_dir: str = "out"
     seeds: tuple[int, ...] = (0,)
-    iterations: int = 500
-    learning_rate: float = 0.5
-    leaky_slope: float = 0.01
+    iterations: int = agcn.AgcnHyperparams.iterations
+    learning_rate: float = agcn.AgcnHyperparams.learning_rate
+    leaky_slope: float = agcn.AgcnHyperparams.leaky_slope
     perturb_node: int | None = None
     perturb_factor: float = 2.0
     delta_min: float = 0.5
@@ -220,17 +220,15 @@ def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
     representative = next((s for s in config.seeds if converged[s]), config.seeds[0])
     state, table = states[representative], tables[representative]
 
-    files = {
-        "loss_history.csv": _csv(
-            ["iteration", "loss"], [[i, loss] for i, loss in enumerate(state.loss_history)]
-        ),
-        "alpha.csv": _csv([f"to_{j}" for j in range(graph.n)], [list(row) for row in state.alpha]),
-        "attention_scores.csv": _csv(
+    texts = (
+        _csv(["iteration", "loss"], [[i, loss] for i, loss in enumerate(state.loss_history)]),
+        _csv([f"to_{j}" for j in range(graph.n)], [list(row) for row in state.alpha]),
+        _csv(
             ["node", "score", "rank"],
             [[node, table.scores[node], table.rank_of(node)] for node in range(graph.n)],
         ),
-    }
-    return table, files, {
+    )
+    return table, texts, {
         "representative_seed": representative,
         "perturb_node": config.perturb_node,
         "perturb_factor": config.perturb_factor if config.perturb_node is not None else None,
@@ -256,14 +254,14 @@ def _run_spectral(config: AnalysisConfig, graph, features) -> tuple:
         [list(cell.values()) for cell in cells],
     )
     ranking = ranked_table("spectral", spectral.sweep_end_scores(table))
-    return ranking, {"spectral_sweep.csv": csv}, {"deltas": list(table.deltas), "cells": cells}
+    return ranking, (csv,), {"deltas": list(table.deltas), "cells": cells}
 
 
 def _run_motifs(config: AnalysisConfig, graph, features) -> tuple:
     rows = [asdict(r) for r in motifs.motif_table(graph)]
     csv = _csv(["node", "w3", "w4", "w5", "w6", "total_cost"], [list(r.values()) for r in rows])
     table = ranked_table("motifs", [r["total_cost"] for r in rows])
-    return table, {"motif_costs.csv": csv}, {"rows": rows}
+    return table, (csv,), {"rows": rows}
 
 
 def _run_nstc(config: AnalysisConfig, graph, features) -> tuple:
@@ -271,23 +269,31 @@ def _run_nstc(config: AnalysisConfig, graph, features) -> tuple:
     rows = walks.nstc_table(graph, all_walks)
     table = ranked_table("nstc", [r.nstc for r in rows])
     walk_rows = all_walks.rows()
-    files = {
-        "nstc.csv": _csv(
+    texts = (
+        _csv(
             ["node", "n_paths", "nstc", "rank"],
             [[r.node, r.n_paths, r.nstc, table.rank_of(r.node)] for r in rows],
         ),
-        "walk_tree.csv": _number_csv(walks.WALK_COLUMNS, walk_rows),
-    }
-    return table, files, {"rows": [asdict(r) for r in rows], "walks": walk_rows}
+        _number_csv(walks.WALK_COLUMNS, walk_rows),
+    )
+    return table, texts, {"rows": [asdict(r) for r in rows], "walks": walk_rows}
 
 
-# Run order. Each runner maps (config, graph, features) to its ranking, its CSV
-# files as {file name: text} and its summary fields, and does no I/O.
+# Run order. Each runner maps (config, graph, features) to its ranking, the
+# texts of its CSV files in `ARTIFACTS` order and its summary fields, and does
+# no I/O.
 METHODS = {
     "attention": _run_attention,
     "spectral": _run_spectral,
     "motifs": _run_motifs,
     "nstc": _run_nstc,
+}
+# Each method's CSV files, named here and nowhere else.
+ARTIFACTS = {
+    "attention": ("loss_history.csv", "alpha.csv", "attention_scores.csv"),
+    "spectral": ("spectral_sweep.csv",),
+    "motifs": ("motif_costs.csv",),
+    "nstc": ("nstc.csv", "walk_tree.csv"),
 }
 
 
@@ -305,7 +311,9 @@ def run(config: AnalysisConfig) -> dict:
 
     A graph past the motif enumeration guard is refused before any method
     runs or any file is written. The CSVs are written only after every
-    selected method has succeeded, so a run that raises writes none.
+    selected method has succeeded, so a run that raises writes none. A run
+    that succeeds also removes the CSVs of the methods it did not run (and no
+    other file), so no CSV of an earlier run outlives its summary.
     """
     graph, features = load_model(config.model_path, config.variant)
     if "motifs" in config.methods:
@@ -322,9 +330,9 @@ def run(config: AnalysisConfig) -> dict:
     for name, runner in METHODS.items():
         if name not in config.methods:
             continue
-        table, method_files, fields = runner(config, graph, features)
+        table, texts, fields = runner(config, graph, features)
         tables[name] = table
-        files.update(method_files)
+        files.update(zip(ARTIFACTS[name], texts, strict=True))
         method_summaries[name] = {**fields, **_ranking(table)}
 
     summary = {
@@ -334,6 +342,9 @@ def run(config: AnalysisConfig) -> dict:
     }
     if len(tables) >= 2:
         summary["concordance"] = asdict(concordance(tables, config.top_k))
+    for name in METHODS.keys() - tables.keys():
+        for stale in ARTIFACTS[name]:
+            (out / stale).unlink(missing_ok=True)
     for name in list(files):  # each text is dropped once written, before the summary is encoded
         (out / name).write_text(files.pop(name))
     _write_summary(out / "summary.json", summary)

@@ -8,6 +8,7 @@ Missing scores (None) always rank last.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,27 +65,15 @@ def average_ranks(table: NodeScoreTable) -> np.ndarray:
     """Fractional ranks (1-based, ties averaged) per node, in table orientation.
 
     Nodes with missing scores share the average of the trailing rank positions.
+    `table.order` already puts equal scores next to each other and None last.
     """
-    n = table.n
-    ranks = np.empty(n)
+    ranks = np.empty(table.n)
     pos = 0
-    while pos < n:
-        node = table.order[pos]
-        tied = [node]
-        while pos + len(tied) < n and _same_score(table, node, table.order[pos + len(tied)]):
-            tied.append(table.order[pos + len(tied)])
-        mean_rank = pos + (len(tied) + 1) / 2.0
-        for t in tied:
-            ranks[t] = mean_rank
+    for _, group in itertools.groupby(table.order, key=lambda node: table.scores[node]):
+        tied = list(group)
+        ranks[tied] = pos + (len(tied) + 1) / 2.0
         pos += len(tied)
     return ranks
-
-
-def _same_score(table: NodeScoreTable, a: int, b: int) -> bool:
-    sa, sb = table.scores[a], table.scores[b]
-    if sa is None or sb is None:
-        return sa is None and sb is None
-    return sa == sb
 
 
 def spearman_rho(a: NodeScoreTable, b: NodeScoreTable) -> float:

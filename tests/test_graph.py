@@ -39,10 +39,9 @@ class TestLoadModel:
         a[3, 1] = p[3, 1] = 0.0
         assert np.array_equal(a, p)
 
-    def test_labels_and_clusters(self, piezo):
+    def test_labels(self, piezo):
         graph, _ = piezo
         assert graph.node_labels[0] == 0.01 and graph.node_labels[1] == 0.2
-        assert graph.cluster_of[0] != graph.cluster_of[1]
 
     def test_trivial_single_node(self, tmp_path):
         path = tmp_path / "one.json"
@@ -75,8 +74,6 @@ class TestLoadModel:
             ("labels", [0.1, float("nan")]),
             ("labels", "ab"),
             ("labels", 0.5),
-            ("clusters", 5),
-            ("clusters", ["a", "b"]),
         ],
     )
     def test_bad_labels_and_clusters_name_the_field(self, field, value):
@@ -94,8 +91,8 @@ class TestLoadModel:
 
     def test_fixture_path_is_loaded_as_given(self):
         # only the "piezo" alias selects by variant; a fixture's own path is read as-is
-        graph, _ = load_model(fixture_path("printed"))
-        assert graph.weights[3, 1] == pytest.approx(-1.3083)
+        graph, _ = load_model(fixture_path(), "printed")
+        assert graph.weights[3, 1] == pytest.approx(+1.3083)
 
     @pytest.mark.parametrize("variant", ["appendix", "printed"])
     def test_round_trip(self, tmp_path, variant):
@@ -106,7 +103,6 @@ class TestLoadModel:
         assert np.array_equal(graph.weights, graph2.weights)
         assert np.array_equal(features.values, features2.values)
         assert np.array_equal(graph.node_labels, graph2.node_labels)
-        assert graph.cluster_of == graph2.cluster_of
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(7)

@@ -1,3 +1,5 @@
+import json
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from netinstab import (
     BadParameter,
     MotifScoreRow,
+    NumericalFailure,
     SignedWeightedDigraph,
     TooLarge,
     enumerate_simple_cycles,
@@ -16,6 +19,7 @@ from netinstab import (
     total_cost,
     total_degree,
 )
+from netinstab.cli import main
 from conftest import random_signed_digraph_weights
 
 # reference per-node scores: (w3, w4, w5, w6, total_cost), all to 2 decimals
@@ -185,3 +189,36 @@ class TestScores:
         base_order = sorted(range(6), key=lambda v: (-base[v].total_cost, v))
         scaled_order = sorted(range(6), key=lambda v: (-scaled[v].total_cost, v))
         assert base_order == scaled_order
+
+
+def complete_with_one_negative_edge(n=6, weight=1e25):
+    w = np.full((n, n), weight)
+    w[0, 1] = -weight
+    return w
+
+
+OVERFLOWING = {
+    # cycle products of +-1e600 overflow: every node's w3 is -inf and its total cost nan
+    "scores": np.array([[0, 1e200, 1e200], [-1e200, 0, 1e200], [1e200, 1e200, 0]]),
+    # every w3..w6 is finite, but their product overflows: node 0's total cost is inf
+    "total_cost": complete_with_one_negative_edge(),
+}
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    def test_table_fails_closed_naming_node(self, case):
+        graph = SignedWeightedDigraph(weights=OVERFLOWING[case])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the failure is the error, not a RuntimeWarning
+            with pytest.raises(NumericalFailure, match="of node 0 "):
+                motif_table(graph)
+
+    def test_analyze_exits_1_and_writes_no_csv(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        weights = OVERFLOWING["scores"].tolist()
+        model.write_text(json.dumps({"n": 3, "adjacency": weights, "features": [[1.0]] * 3}))
+        out = tmp_path / "out"
+        assert main(["analyze", "--model", str(model), "--method", "motifs", "--out", str(out)]) == 1
+        assert "of node 0" in capsys.readouterr().err
+        assert list(out.iterdir()) == []

@@ -2,7 +2,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
@@ -12,15 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netinstab import (
-    AgcnHyperparams,
     AnalysisConfig,
     BadParameter,
+    NumericalFailure,
     TooLarge,
     concordance,
     node_attention_scores,
     nstc_ranking,
     ranked_table,
-    train,
 )
 from netinstab.cli import main
 from netinstab.report import (
@@ -267,16 +266,35 @@ class TestRun:
         assert sorted(pair["top_k"]["motifs"]) == [2, 6]
         assert sorted(pair["top_k"]["nstc"]) == [2, 6]
 
-    def test_registry_orientation_matches_module_rankers(self, tmp_path, piezo):
-        graph, features = piezo
+    def test_run_ranks_match_module_rankers(self, tmp_path, piezo):
+        graph, _ = piezo
         config = AnalysisConfig(methods=("attention", "nstc"), output_dir=str(tmp_path), seeds=(0, 1))
         methods = run(config)["methods"]
         nstc = nstc_ranking(graph)
         assert methods["nstc"]["ranks"] == [nstc.rank_of(v) for v in range(graph.n)]
-        seed = methods["attention"]["representative_seed"]
-        hyper = AgcnHyperparams(seed=seed)
-        attention = node_attention_scores(train(graph, features, graph.node_labels, hyper).alpha)
+        attention = node_attention_scores(np.array(methods["attention"]["alpha"]))
         assert methods["attention"]["ranks"] == [attention.rank_of(v) for v in range(graph.n)]
+
+    def test_rerun_with_fewer_methods_removes_only_their_csvs(self, tmp_path):
+        config = AnalysisConfig(output_dir=str(tmp_path), iterations=20)
+        run(config)
+        (tmp_path / "notes.txt").write_text("kept")
+        run(replace(config, methods=("nstc",)))
+        names = {p.name for p in tmp_path.iterdir()}
+        assert names == {"nstc.csv", "walk_tree.csv", "summary.json", "notes.txt"}
+
+    def test_failed_rerun_removes_nothing(self, tmp_path):
+        from test_walks import OVERFLOWING
+
+        out = tmp_path / "out"
+        run(AnalysisConfig(methods=("motifs", "nstc"), output_dir=str(out)))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"n": 3, "adjacency": OVERFLOWING["products"], "features": [[1.0]] * 3}))
+        failing = AnalysisConfig(model_path=str(model), methods=("spectral", "nstc"), output_dir=str(out))
+        with pytest.raises(NumericalFailure):  # spectral succeeds, nstc fails
+            run(failing)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_tables_from_summary_round_trip(self, tmp_path):
         config = AnalysisConfig(methods=("motifs", "nstc"), output_dir=str(tmp_path))

@@ -210,7 +210,8 @@ class TestOverflow:
         weights = OVERFLOWING["products"]
         model.write_text(json.dumps({"n": 3, "adjacency": weights, "features": [[1.0]] * 3}))
         out = tmp_path / "out"
-        config = AnalysisConfig(model_path=str(model), methods=("motifs", "nstc"), output_dir=str(out))
-        with pytest.raises(NumericalFailure, match="from node 0"):  # motifs succeeds, nstc fails
+        config = AnalysisConfig(model_path=str(model), methods=("spectral", "nstc"), output_dir=str(out))
+        # spectral marks its cells failed and succeeds; nstc then fails
+        with pytest.raises(NumericalFailure, match="from node 0"):
             run(config)
         assert list(out.iterdir()) == []
