@@ -28,7 +28,7 @@ class NumericalFailure(NetinstabError):
 
 
 class TooLarge(NetinstabError):
-    """Graph exceeds the exact-enumeration guard."""
+    """Graph exceeds the work bound of exact cycle enumeration."""
 
 
 class DivergedTraining(NetinstabError):

@@ -309,8 +309,8 @@ def run(config: AnalysisConfig) -> dict:
     into a temporary file that then atomically replaces any summary.json
     already there (see `_summary_pieces`).
 
-    A graph past the motif enumeration guard is refused before any method
-    runs or any file is written. The CSVs are written only after every
+    A graph past the motif work bound (`motifs.check_size`) is refused before
+    any method runs or any file is written. The CSVs are written only after every
     selected method has succeeded, so a run that raises writes none. A run
     that succeeds also removes the CSVs of the methods it did not run (and no
     other file), so no CSV of an earlier run outlives its summary.

@@ -1,6 +1,7 @@
 import json
 import warnings
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from netinstab import (
     total_cost,
     total_degree,
 )
+from netinstab import motifs
 from netinstab.cli import main
 from conftest import random_signed_digraph_weights
 
@@ -55,14 +57,49 @@ def oracle_cycles(weights, k):
     return found
 
 
+def dfs_cycles(weights, k):
+    """Depth-first search: (nodes, product) of each k-cycle, in lexicographic order.
+
+    From each start node the search visits only larger-indexed nodes, which
+    yields the canonical (min-first) rotation directly; the product is
+    multiplied edge by edge in path order.
+    """
+    n = weights.shape[0]
+    cycles = []
+    path = [0] * k
+    in_path = [False] * n
+
+    def extend(start, node, depth, product):
+        if depth == k:
+            back = weights[node, start]
+            if back != 0:
+                cycles.append((tuple(path), float(product * back)))
+            return
+        for nxt in range(start + 1, n):
+            if in_path[nxt] or weights[node, nxt] == 0:
+                continue
+            path[depth] = nxt
+            in_path[nxt] = True
+            extend(start, nxt, depth + 1, product * weights[node, nxt])
+            in_path[nxt] = False
+
+    with np.errstate(over="ignore"):
+        for start in range(n):
+            path[0] = start
+            in_path[start] = True
+            extend(start, start, 1, 1.0)
+            in_path[start] = False
+    return cycles
+
+
 def scan_oracle_table(graph):
-    """Motif rows by scanning every cycle for every node."""
+    """Motif rows by scanning every depth-first-search cycle for every node."""
     ws = {}
     for k in (3, 4, 5, 6):
-        cycles = enumerate_simple_cycles(graph, k)
+        cycles = dfs_cycles(graph.weights, k)
         ws[k] = []
         for node in range(graph.n):
-            total = sum(c.weight_product for c in cycles if c.imbalanced and node in c.nodes)
+            total = sum(p for nodes, p in cycles if p < 0 and node in nodes)
             ws[k].append(0.0 if total == 0 else total / total_degree(graph, node) ** 2)
     rows = []
     for node in range(graph.n):
@@ -104,10 +141,33 @@ class TestEnumeration:
                 enumerate_simple_cycles(piezo[0], k)
 
     def test_size_guard(self):
-        graph = SignedWeightedDigraph(weights=np.zeros((17, 17)))
-        with pytest.raises(TooLarge):
-            enumerate_simple_cycles(graph, 3)
-        assert enumerate_simple_cycles(graph, 3, max_nodes=17) == []
+        # past the old n <= 16 guard: a 17-node path has no cycles and is not refused
+        path = SignedWeightedDigraph(weights=np.eye(17, k=1))
+        assert enumerate_simple_cycles(path, 3) == []
+        # the complete 48-node digraph: its 5-edge walk bound passes the memory cap
+        dense = SignedWeightedDigraph(weights=np.ones((48, 48)))
+        with pytest.raises(TooLarge, match=r"work bound for n=48 is [\d,]+ MiB .* cap of 256 MiB"):
+            enumerate_simple_cycles(dense, 3)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 11),
+        density=st.floats(0.0, 1.0),
+        k=st.integers(3, 6),
+        block_bytes=st.sampled_from([motifs.BLOCK_BYTES, 1]),  # 1: one start node per block
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_depth_first_search(self, seed, n, density, k, block_bytes):
+        rng = np.random.default_rng(seed)
+        graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density))
+        with mock.patch.object(motifs, "BLOCK_BYTES", block_bytes):
+            got = [(c.nodes, c.weight_product) for c in enumerate_simple_cycles(graph, k)]
+        assert got == dfs_cycles(graph.weights, k)
+
+    def test_blocks_of_start_nodes(self, piezo):
+        assert motifs._blocks(piezo[0]) == [range(8)]
+        with mock.patch.object(motifs, "BLOCK_BYTES", 1):
+            assert motifs._blocks(piezo[0]) == [range(s, s + 1) for s in range(8)]
 
     @given(seed=st.integers(0, 100_000), n=st.integers(3, 7), k=st.integers(3, 6))
     @settings(max_examples=80, deadline=None)
@@ -157,15 +217,17 @@ class TestScores:
                 assert g == pytest.approx(e, abs=1e-2), (row.node, got, expected)
 
     @given(
-        seed=st.integers(0, 100_000),
-        n=st.integers(1, 8),
-        density=st.floats(0.2, 0.9, allow_nan=False),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 11),
+        density=st.floats(0.0, 1.0),
+        block_bytes=st.sampled_from([motifs.BLOCK_BYTES, 1]),  # 1: one start node per block
     )
     @settings(max_examples=100, deadline=None)
-    def test_table_equals_per_node_scan(self, seed, n, density):
+    def test_table_equals_per_node_scan(self, seed, n, density, block_bytes):
         rng = np.random.default_rng(seed)
         graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density))
-        assert motif_table(graph) == scan_oracle_table(graph)
+        with mock.patch.object(motifs, "BLOCK_BYTES", block_bytes):
+            assert motif_table(graph) == scan_oracle_table(graph)
 
     def test_zero_when_no_imbalanced_cycles(self):
         w = np.zeros((3, 3))
@@ -197,9 +259,19 @@ def complete_with_one_negative_edge(n=6, weight=1e25):
     return w
 
 
+def two_triangles_through_node_0(weight=5.3e102):
+    """Imbalanced 3-cycles 0->1->2->0 and 0->1->3->0, each of product about -1.5e308."""
+    w = np.zeros((4, 4))
+    w[0, 1] = -weight
+    w[1, 2] = w[2, 0] = w[1, 3] = w[3, 0] = weight
+    return w
+
+
 OVERFLOWING = {
     # cycle products of +-1e600 overflow: every node's w3 is -inf and its total cost nan
     "scores": np.array([[0, 1e200, 1e200], [-1e200, 0, 1e200], [1e200, 1e200, 0]]),
+    # every cycle product is finite, but node 0's two add up past float64
+    "sums": two_triangles_through_node_0(),
     # every w3..w6 is finite, but their product overflows: node 0's total cost is inf
     "total_cost": complete_with_one_negative_edge(),
 }
@@ -213,6 +285,13 @@ class TestOverflow:
             warnings.simplefilter("error")  # the failure is the error, not a RuntimeWarning
             with pytest.raises(NumericalFailure, match="of node 0 "):
                 motif_table(graph)
+
+    def test_single_score_fails_closed_naming_node(self):
+        graph = SignedWeightedDigraph(weights=OVERFLOWING["scores"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="3-cycle score of node 0 "):
+                imbalanced_motif_score(graph, 0, 3)
 
     def test_analyze_exits_1_and_writes_no_csv(self, tmp_path, capsys):
         model = tmp_path / "model.json"

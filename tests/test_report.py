@@ -15,6 +15,7 @@ from netinstab import (
     AnalysisConfig,
     BadParameter,
     NumericalFailure,
+    SignedWeightedDigraph,
     TooLarge,
     concordance,
     node_attention_scores,
@@ -30,6 +31,13 @@ from netinstab.report import (
     run,
     tables_from_summary,
 )
+
+
+def write_model(path, weights):
+    """Write a model file with these weights and one feature per node; return its path."""
+    n = len(weights)
+    path.write_text(json.dumps({"n": n, "adjacency": np.asarray(weights).tolist(), "features": [[1.0]] * n}))
+    return str(path)
 
 
 def read_csv(path):
@@ -214,14 +222,33 @@ class TestRun:
         assert "summary.json" in first
 
     def test_motif_guard_refuses_before_any_file_is_written(self, tmp_path):
-        n = 17
-        model = tmp_path / "m.json"
-        model.write_text(json.dumps({"n": n, "adjacency": np.eye(n, k=1).tolist(), "features": [[1.0]] * n}))
+        # the complete 48-node digraph: its work bound passes the memory cap
+        model = write_model(tmp_path / "m.json", np.ones((48, 48)))
         out = tmp_path / "out"
-        config = AnalysisConfig(model_path=str(model), methods=("spectral", "motifs"), output_dir=str(out))
-        with pytest.raises(TooLarge, match="motifs method .* at most 16 nodes"):
+        config = AnalysisConfig(model_path=model, methods=("spectral", "motifs"), output_dir=str(out))
+        with pytest.raises(TooLarge, match=r"motifs method .* work bound for n=48 is .* cap of 256 MiB"):
             run(config)
         assert not out.exists()
+
+    def test_motifs_score_a_17_node_path_zero(self, tmp_path):
+        model = write_model(tmp_path / "m.json", np.eye(17, k=1))
+        summary = run(AnalysisConfig(model_path=model, methods=("motifs",), output_dir=str(tmp_path)))
+        rows = summary["methods"]["motifs"]["rows"]
+        assert [r["node"] for r in rows] == list(range(17))
+        assert all(r[key] == 0.0 for r in rows for key in ("w3", "w4", "w5", "w6", "total_cost"))
+
+    def test_motifs_past_the_old_guard_match_the_scan_oracle(self, tmp_path):
+        from conftest import random_signed_digraph_weights
+        from test_motifs import scan_oracle_table
+
+        graph = SignedWeightedDigraph(
+            weights=random_signed_digraph_weights(np.random.default_rng(24), 24, density=0.3)
+        )
+        model = write_model(tmp_path / "m.json", graph.weights)
+        config = AnalysisConfig(model_path=model, methods=("motifs", "nstc"), output_dir=str(tmp_path))
+        summary = run(config)
+        assert summary["methods"]["motifs"]["rows"] == [asdict(r) for r in scan_oracle_table(graph)]
+        assert len(read_csv(tmp_path / "motif_costs.csv")[1]) == 24
 
     def test_summary_contains_every_csv_number(self, tmp_path):
         config = AnalysisConfig(
