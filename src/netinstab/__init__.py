@@ -18,6 +18,7 @@ from .agcn import (
     perturb_features,
     self_attention_embed,
     train,
+    train_seeds,
 )
 from .errors import (
     BadMatrix,

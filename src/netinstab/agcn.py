@@ -19,12 +19,25 @@ Training nudges both parameter blocks with delta-rule style updates built
 from the prediction error and output*(1-output) derivative surrogates; it is
 deliberately not an exact-gradient method. All softmax outputs are
 nonnegative and sum to 1 along their axis to within 1e-9.
+
+Every training seed runs in one loop (`train_seeds`). The parameters carry a
+leading seed axis, and the masked adjacency A_hat * alpha, the products
+(A_hat * alpha) X w and M_X, the prediction softmax, both updates and the
+loss are stacked arrays over the seeds. numpy runs a stacked matmul as the
+same BLAS call per seed that one seed's product makes, and every reduction
+adds along the same contiguous axis in the same order, so each seed's
+parameters, losses and outputs are bit for bit those of training it alone.
+The attention projections Y' w_att[:F] and Y' w_att[F:] stay one
+matrix-vector product (gemv) per seed, stacked the same way: Y' times all
+seeds' parameters as one F x S matrix would be a gemm, which rounds
+differently and moves alpha by up to 2.8e-16.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -91,6 +104,18 @@ def self_attention_embed(features: FeatureMatrix, hyper: AgcnHyperparams) -> Emb
     return EmbeddingIntermediates(omega_self=omega_self, y=y, y_prime=y_prime)
 
 
+def _attention(y_prime: np.ndarray, w_att: np.ndarray, slope: float) -> np.ndarray:
+    """One row-stochastic attention matrix per row of w_att (seeds x 2F).
+
+    The projections are stacked matrix-vector products, one gemv per seed,
+    so stacking seeds does not change the rounding (see the module docstring).
+    """
+    f = y_prime.shape[1]
+    left = y_prime @ w_att[:, :f, None]
+    right = y_prime @ w_att[:, f:, None]
+    return _softmax_rows(_leaky_relu(left + right.swapaxes(1, 2), slope))
+
+
 def pair_attention(
     embedding: EmbeddingIntermediates, w_att: np.ndarray, hyper: AgcnHyperparams
 ) -> np.ndarray:
@@ -99,15 +124,11 @@ def pair_attention(
     The raw score of pair (i, j) is w_att . (Y'_i || Y'_j) through LeakyReLU;
     row i is the softmax of its scores over all targets j, including j = i.
     """
-    y_prime = embedding.y_prime
-    n, f = y_prime.shape
+    f = embedding.y_prime.shape[1]
     w_att = np.asarray(w_att, dtype=float).reshape(-1)
     if w_att.shape[0] != 2 * f:
         raise BadParameter(f"w_att must have length {2 * f}, got {w_att.shape[0]}")
-    left = y_prime @ w_att[:f]
-    right = y_prime @ w_att[f:]
-    scores = _leaky_relu(left[:, None] + right[None, :], hyper.leaky_slope)
-    return _softmax_rows(scores)
+    return _attention(embedding.y_prime, w_att[None], hyper.leaky_slope)[0]
 
 
 def normalize_adjacency(graph: SignedWeightedDigraph) -> np.ndarray:
@@ -123,10 +144,11 @@ def normalize_adjacency(graph: SignedWeightedDigraph) -> np.ndarray:
     return inv_sqrt[:, None] * a_tilde * inv_sqrt[None, :]
 
 
-def _forward(a_hat, alpha, x, w, hyper) -> tuple[np.ndarray, np.ndarray]:
+def _forward(a_hat, alpha, x, w, slope: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked predictions (seeds x n x 1) and masked adjacencies, from alpha and w stacked."""
     masked = a_hat * alpha
-    logits = _leaky_relu(masked @ x @ w, hyper.leaky_slope)
-    y_pp = _softmax_rows(logits.reshape(1, -1)).reshape(-1, 1)  # softmax across nodes
+    logits = _leaky_relu(masked @ x @ w, slope)
+    y_pp = _softmax_rows(logits[..., 0])[..., None]  # softmax across nodes
     return y_pp, masked
 
 
@@ -146,10 +168,9 @@ def forward(
     w = np.asarray(state.w, dtype=float)
     if w.size != f:
         raise BadParameter(f"w must be {f}x1, got shape {w.shape}")
-    w = w.reshape(f, 1)
     a_hat = normalize_adjacency(graph)
-    y_pp, _ = _forward(a_hat, state.alpha, x, w, hyper)
-    return y_pp
+    y_pp, _ = _forward(a_hat, state.alpha[None], x, w.reshape(1, f, 1), hyper.leaky_slope)
+    return y_pp[0]
 
 
 def train(
@@ -174,7 +195,36 @@ def train(
     loss at the final parameters, and one recorded loss per iteration (each
     measured before that iteration's update). learning_rate = 0 leaves both
     parameter blocks exactly at their initial values.
+
+    This is `train_seeds` with one seed. Its products carry a seed axis of
+    length one; the attention projections stay matrix-vector products, as
+    they are for each seed of a batch, so a seed trained here or in a batch
+    gives the same bits (see the module docstring).
     """
+    return train_seeds(graph, features, targets, [hyper])[0]
+
+
+def train_seeds(
+    graph: SignedWeightedDigraph,
+    features: FeatureMatrix,
+    targets,
+    hypers: Iterable[AgcnHyperparams],
+) -> list[AgcnState]:
+    """`train` for each of `hypers`, all seeds in one stacked loop; states in that order.
+
+    The hyperparameters may differ only in `seed`. Each state is bit for bit
+    the one `train` gives for its seed alone (see the module docstring). If
+    seeds diverge, `DivergedTraining` names the first of them in the given
+    order, with its iteration, as training the seeds one after another would.
+    """
+    hypers = list(hypers)
+    if not hypers:
+        raise BadParameter("hypers must not be empty")
+    hyper = hypers[0]
+    for name in (f.name for f in fields(AgcnHyperparams) if f.name != "seed"):
+        values = sorted({getattr(h, name) for h in hypers})
+        if len(values) > 1:
+            raise BadParameter(f"hypers may differ only in seed, but {name} takes values {values}")
     x = features.values
     n, f = x.shape
     if n != graph.n:
@@ -183,51 +233,56 @@ def train(
     if y_target.shape[0] != n:
         raise BadParameter(f"targets must have length {n}, got {y_target.shape[0]}")
     y_target = y_target.reshape(-1, 1)
-    mu = hyper.learning_rate
+    mu, slope = hyper.learning_rate, hyper.leaky_slope
+    seeds = [h.seed for h in hypers]
 
-    rng = np.random.default_rng(hyper.seed)
-    w_att = rng.uniform(-INIT_RANGE, INIT_RANGE, size=2 * f)
-    w = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(f, 1))
-
+    rngs = [np.random.default_rng(seed) for seed in seeds]  # each draws w_att, then w
+    w_att = np.stack([rng.uniform(-INIT_RANGE, INIT_RANGE, size=2 * f) for rng in rngs])
+    w = np.stack([rng.uniform(-INIT_RANGE, INIT_RANGE, size=(f, 1)) for rng in rngs])
     a_hat = normalize_adjacency(graph)
     a_tilde = graph.weights + np.eye(n)
     pair_src, pair_dst = np.nonzero(a_tilde)
-    embedding = self_attention_embed(features, hyper)
-    y_prime = embedding.y_prime
+    y_prime = self_attention_embed(features, hyper).y_prime
     deriv_prime = y_prime * (1.0 - y_prime)
 
-    losses: list[float] = []
+    losses = np.empty((hyper.iterations, len(seeds)))
     # runaway parameters are caught through the loss check, so numpy's own
     # overflow warnings are noise here
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(hyper.iterations):
-            alpha = pair_attention(embedding, w_att, hyper)
-            y_pp, masked = _forward(a_hat, alpha, x, w, hyper)
+            alpha = _attention(y_prime, w_att, slope)
+            y_pp, masked = _forward(a_hat, alpha, x, w, slope)
             err = y_target - y_pp
-            loss = float((err**2).mean())
-            if not np.isfinite(loss):
-                raise DivergedTraining(iteration)
-            losses.append(loss)
+            losses[iteration] = loss = (err**2).mean(axis=(1, 2))
+            if not np.isfinite(loss[0]):  # the first seed is reported whatever the others do
+                raise DivergedTraining(iteration, seeds[0])
 
             m_x = masked @ x
-            w = w + mu * (err.T @ (m_x * (1.0 - m_x))).T
+            w = w + mu * (err.swapaxes(1, 2) @ (m_x * (1.0 - m_x))).swapaxes(1, 2)
             g = deriv_prime * (mu * err) * x
-            z = np.concatenate([g[pair_src], g[pair_dst]], axis=1).sum(axis=0) / (2.0 * n)
+            z = np.concatenate([g[:, pair_src], g[:, pair_dst]], axis=2).sum(axis=1) / (2.0 * n)
             w_att = w_att + z
 
-        alpha = pair_attention(embedding, w_att, hyper)
-        y_pp, _ = _forward(a_hat, alpha, x, w, hyper)
-        final_loss = float(((y_target - y_pp) ** 2).mean())
-    if not np.isfinite(final_loss):
-        raise DivergedTraining(hyper.iterations)
-    return AgcnState(
-        w_att=w_att,
-        w=w,
-        alpha=alpha,
-        loss_history=losses,
-        y_pp=y_pp,
-        final_loss=final_loss,
-    )
+        alpha = _attention(y_prime, w_att, slope)
+        y_pp, _ = _forward(a_hat, alpha, x, w, slope)
+        final_losses = ((y_target - y_pp) ** 2).mean(axis=(1, 2))
+    for k, seed in enumerate(seeds):
+        diverged = np.flatnonzero(~np.isfinite(losses[:, k]))
+        if diverged.size:
+            raise DivergedTraining(int(diverged[0]), seed)
+        if not np.isfinite(final_losses[k]):
+            raise DivergedTraining(hyper.iterations, seed)
+    return [
+        AgcnState(
+            w_att=w_att[k],
+            w=w[k],
+            alpha=alpha[k],
+            loss_history=losses[:, k].tolist(),
+            y_pp=y_pp[k],
+            final_loss=float(final_losses[k]),
+        )
+        for k in range(len(seeds))
+    ]
 
 
 def perturb_features(features: FeatureMatrix, node: int, factor: float = 2.0) -> FeatureMatrix:

@@ -34,9 +34,11 @@ class TooLarge(NetinstabError):
 class DivergedTraining(NetinstabError):
     """Training produced a non-finite loss.
 
-    Carries the iteration index at which divergence was detected.
+    Carries the training seed that diverged and the iteration at which its
+    loss was first non-finite (`iterations` when only the final loss is).
     """
 
-    def __init__(self, iteration: int, message: str | None = None):
+    def __init__(self, iteration: int, seed: int):
         self.iteration = iteration
-        super().__init__(message or f"training loss became non-finite at iteration {iteration}")
+        self.seed = seed
+        super().__init__(f"training with seed {seed}: loss became non-finite at iteration {iteration}")

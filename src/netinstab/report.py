@@ -212,10 +212,9 @@ def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
         raise BadParameter("model has no 'labels' field; the attention method needs targets")
     if config.perturb_node is not None:
         features = agcn.perturb_features(features, config.perturb_node, config.perturb_factor)
-    states, tables = {}, {}
-    for seed in config.seeds:
-        states[seed] = agcn.train(graph, features, graph.node_labels, config.hyperparams(seed))
-        tables[seed] = agcn.node_attention_scores(states[seed].alpha)
+    hypers = [config.hyperparams(seed) for seed in config.seeds]
+    states = dict(zip(config.seeds, agcn.train_seeds(graph, features, graph.node_labels, hypers)))
+    tables = {seed: agcn.node_attention_scores(state.alpha) for seed, state in states.items()}
     converged = {seed: state.final_loss <= CONVERGENCE_LOSS for seed, state in states.items()}
     representative = next((s for s in config.seeds if converged[s]), config.seeds[0])
     state, table = states[representative], tables[representative]

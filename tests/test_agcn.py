@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,123 @@ from netinstab import (
     pair_attention,
     self_attention_embed,
     train,
+    train_seeds,
 )
-from netinstab.agcn import EmbeddingIntermediates, perturb_features
+from netinstab.agcn import (
+    INIT_RANGE,
+    EmbeddingIntermediates,
+    _leaky_relu,
+    _softmax_rows,
+    perturb_features,
+)
 from conftest import random_signed_digraph_weights
 
 DEFAULTS = AgcnHyperparams()
+
+
+def _one_seed_attention(y_prime, w_att, slope):
+    f = y_prime.shape[1]
+    left = y_prime @ w_att[:f]
+    right = y_prime @ w_att[f:]
+    return _softmax_rows(_leaky_relu(left[:, None] + right[None, :], slope))
+
+
+def _one_seed_forward(a_hat, alpha, x, w, slope):
+    masked = a_hat * alpha
+    logits = _leaky_relu(masked @ x @ w, slope)
+    y_pp = _softmax_rows(logits.reshape(1, -1)).reshape(-1, 1)  # softmax across nodes
+    return y_pp, masked
+
+
+def sequential_train(graph, features, targets, hyper):
+    """Train one seed with no seed axis: the oracle for `train_seeds`.
+
+    The same updates as `agcn.train_seeds`, with its own forward pass and
+    attention, so that the stacked code is checked against code that has no
+    seed axis at all.
+    """
+    x = features.values
+    n, f = x.shape
+    y_target = np.asarray(targets, dtype=float).reshape(-1, 1)
+    mu = hyper.learning_rate
+
+    rng = np.random.default_rng(hyper.seed)
+    w_att = rng.uniform(-INIT_RANGE, INIT_RANGE, size=2 * f)
+    w = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(f, 1))
+
+    a_hat = normalize_adjacency(graph)
+    a_tilde = graph.weights + np.eye(n)
+    pair_src, pair_dst = np.nonzero(a_tilde)
+    y_prime = self_attention_embed(features, hyper).y_prime
+    deriv_prime = y_prime * (1.0 - y_prime)
+
+    losses: list[float] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(hyper.iterations):
+            alpha = _one_seed_attention(y_prime, w_att, hyper.leaky_slope)
+            y_pp, masked = _one_seed_forward(a_hat, alpha, x, w, hyper.leaky_slope)
+            err = y_target - y_pp
+            loss = float((err**2).mean())
+            if not np.isfinite(loss):
+                raise DivergedTraining(iteration, hyper.seed)
+            losses.append(loss)
+
+            m_x = masked @ x
+            w = w + mu * (err.T @ (m_x * (1.0 - m_x))).T
+            g = deriv_prime * (mu * err) * x
+            z = np.concatenate([g[pair_src], g[pair_dst]], axis=1).sum(axis=0) / (2.0 * n)
+            w_att = w_att + z
+
+        alpha = _one_seed_attention(y_prime, w_att, hyper.leaky_slope)
+        y_pp, _ = _one_seed_forward(a_hat, alpha, x, w, hyper.leaky_slope)
+        final_loss = float(((y_target - y_pp) ** 2).mean())
+    if not np.isfinite(final_loss):
+        raise DivergedTraining(hyper.iterations, hyper.seed)
+    return AgcnState(
+        w_att=w_att,
+        w=w,
+        alpha=alpha,
+        loss_history=losses,
+        y_pp=y_pp,
+        final_loss=final_loss,
+    )
+
+
+def assert_same_states(got, want):
+    for field in fields(AgcnState):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b) and np.shape(a) == np.shape(b), field.name
+        assert np.array_equal(a, b), field.name
+
+
+def assert_trains_like_the_oracle(graph, features, targets, hypers):
+    """`train_seeds` gives the oracle's states `==`, or raises as it does."""
+    try:
+        expected = [sequential_train(graph, features, targets, h) for h in hypers]
+    except DivergedTraining as oracle:
+        with pytest.raises(DivergedTraining) as info:
+            train_seeds(graph, features, targets, hypers)
+        assert (info.value.seed, info.value.iteration) == (oracle.seed, oracle.iteration)
+        return
+    for got, want in zip(train_seeds(graph, features, targets, hypers), expected, strict=True):
+        assert_same_states(got, want)
+
+
+# two 2-node models whose divergence depends on the seed (learning rate, iterations):
+# seeds 0, 1, 6 and 8 diverge at iteration 5 and the others at 1
+LATE_AND_EARLY = (
+    SignedWeightedDigraph(weights=np.array([[-0.5, 0.0], [0.0, 1.5]])),
+    FeatureMatrix(values=[[-1e96], [-1e16]]),
+    [0.25, 0.75],
+    1e52,
+)
+# seeds 0, 1, 6 and 8 never diverge and the others do at 1
+NEVER_AND_EARLY = (
+    SignedWeightedDigraph(weights=np.array([[0.0, 0.0], [0.0, -0.5]])),
+    FeatureMatrix(values=[[1e83], [1e18]]),
+    [0.75, 0.25],
+    1e88,
+)
 
 finite_features = arrays(
     float,
@@ -193,9 +307,10 @@ class TestTrain:
         # a few iterations; the non-finite loss must surface as an exception
         graph, features = piezo
         hyper = AgcnHyperparams(seed=0, iterations=200, learning_rate=1e308)
-        with pytest.raises(DivergedTraining) as info:
+        with pytest.raises(DivergedTraining, match="seed 0") as info:
             train(graph, features, graph.node_labels, hyper)
         assert 0 <= info.value.iteration <= 200
+        assert info.value.seed == 0
 
     def test_default_training_converges_and_separates(self, piezo):
         graph, features = piezo
@@ -239,6 +354,74 @@ class TestTrain:
     def test_bad_hyperparams_name_the_field(self, field, value):
         with pytest.raises(BadParameter, match=field):
             AgcnHyperparams(**{field: value})
+
+
+class TestTrainSeeds:
+    def test_piezo_seeds_equal_the_sequential_oracle(self, piezo):
+        graph, features = piezo
+        hypers = [AgcnHyperparams(seed=seed) for seed in range(10)]
+        assert_trains_like_the_oracle(graph, features, graph.node_labels, hypers)
+
+    @given(
+        n=st.integers(1, 12),
+        width=st.integers(1, 4),
+        graph_seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        scale=st.sampled_from([1.0, 1.0, 1e16, 1e96]),
+        perturb=st.none() | st.tuples(st.integers(0, 11), st.sampled_from([2.0, -3.0, 0.0, 1e3])),
+        seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6, unique=True),
+        iterations=st.integers(1, 60),
+        learning_rate=st.sampled_from([0.0, 0.5, 1e52, 1e88, 1e308]) | st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_sequential_oracle(
+        self, n, width, graph_seed, density, scale, perturb, seeds, iterations, learning_rate
+    ):
+        rng = np.random.default_rng(graph_seed)
+        graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density))
+        features = FeatureMatrix(values=rng.uniform(-1.0, 1.0, (n, width)) * scale)
+        if perturb is not None:
+            features = perturb_features(features, perturb[0] % n, perturb[1])
+        targets = rng.random(n)
+        hypers = [
+            AgcnHyperparams(seed=seed, iterations=iterations, learning_rate=learning_rate)
+            for seed in seeds
+        ]
+        assert_trains_like_the_oracle(graph, features, targets, hypers)
+
+    @pytest.mark.parametrize(
+        "model, seeds, iterations, expected",
+        [
+            (LATE_AND_EARLY, (0, 2), 20, (0, 5)),  # seed 2 diverges first, but comes second
+            (LATE_AND_EARLY, (2, 0), 20, (2, 1)),
+            (LATE_AND_EARLY, (0, 2), 5, (0, 5)),  # only seed 0's final loss is non-finite
+            (NEVER_AND_EARLY, (0, 6, 3), 20, (3, 1)),
+        ],
+    )
+    def test_divergence_names_the_first_diverging_seed_in_order(
+        self, model, seeds, iterations, expected
+    ):
+        graph, features, targets, learning_rate = model
+        hypers = [
+            AgcnHyperparams(seed=seed, iterations=iterations, learning_rate=learning_rate)
+            for seed in seeds
+        ]
+        with pytest.raises(DivergedTraining, match=f"seed {expected[0]}:") as info:
+            train_seeds(graph, features, targets, hypers)
+        assert (info.value.seed, info.value.iteration) == expected
+        assert_trains_like_the_oracle(graph, features, targets, hypers)
+
+    @pytest.mark.parametrize("field, value", [("learning_rate", 0.1), ("iterations", 7), ("leaky_slope", 0.2)])
+    def test_hypers_may_differ_only_in_seed(self, piezo, field, value):
+        graph, features = piezo
+        hypers = [AgcnHyperparams(seed=0), AgcnHyperparams(seed=1, **{field: value})]
+        with pytest.raises(BadParameter, match=field):
+            train_seeds(graph, features, graph.node_labels, hypers)
+
+    def test_no_hypers(self, piezo):
+        graph, features = piezo
+        with pytest.raises(BadParameter, match="hypers"):
+            train_seeds(graph, features, graph.node_labels, [])
 
 
 class TestAttentionScores:

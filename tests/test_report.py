@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netinstab import (
+    AgcnHyperparams,
     AnalysisConfig,
     BadParameter,
     NumericalFailure,
@@ -25,12 +26,14 @@ from netinstab import (
 from netinstab.cli import main
 from netinstab.report import (
     _WALKS_PLACEHOLDER,
+    CONVERGENCE_LOSS,
     MAX_DELTA_POINTS,
     _write_summary,
     concordance_from_summary,
     run,
     tables_from_summary,
 )
+from test_agcn import sequential_train
 
 
 def write_model(path, weights):
@@ -301,6 +304,31 @@ class TestRun:
         assert methods["nstc"]["ranks"] == [nstc.rank_of(v) for v in range(graph.n)]
         attention = node_attention_scores(np.array(methods["attention"]["alpha"]))
         assert methods["attention"]["ranks"] == [attention.rank_of(v) for v in range(graph.n)]
+
+    def test_attention_equals_the_sequential_oracle(self, tmp_path, piezo):
+        graph, features = piezo
+        seeds = tuple(range(10))
+        config = AnalysisConfig(methods=("attention",), output_dir=str(tmp_path), seeds=seeds)
+        attention = run(config)["methods"]["attention"]
+        states = {
+            seed: sequential_train(graph, features, graph.node_labels, AgcnHyperparams(seed=seed))
+            for seed in seeds
+        }
+        expected_seeds = {}
+        for seed, state in states.items():
+            table = node_attention_scores(state.alpha)
+            expected_seeds[str(seed)] = {
+                "initial_loss": state.loss_history[0],
+                "final_loss": state.final_loss,
+                "converged": state.final_loss <= CONVERGENCE_LOSS,
+                "loss_history": state.loss_history,
+                "scores": list(table.scores),
+                "ranks": [table.rank_of(node) for node in range(graph.n)],
+            }
+        representative = next(s for s in seeds if states[s].final_loss <= CONVERGENCE_LOSS)
+        assert attention["seeds"] == expected_seeds
+        assert attention["representative_seed"] == representative
+        assert attention["alpha"] == states[representative].alpha.tolist()
 
     def test_rerun_with_fewer_methods_removes_only_their_csvs(self, tmp_path):
         config = AnalysisConfig(output_dir=str(tmp_path), iterations=20)
