@@ -31,8 +31,8 @@ def main():
     for name, feats in scenarios.items():
         print(f"--- scenario: {name} ---")
         print(f"{'seed':>4} {'initial':>9} {'final':>9} {'conv':>5} {'sep':>5}  top-2")
-        hypers = [AgcnHyperparams(seed=seed, iterations=args.iters) for seed in args.seeds]
-        for seed, state in zip(args.seeds, train_seeds(graph, feats, labels, hypers)):
+        states = train_seeds(graph, feats, labels, AgcnHyperparams(iterations=args.iters), args.seeds)
+        for seed, state in zip(args.seeds, states):
             pred = state.y_pp[:, 0]
             sep = pred[high].min() > pred[low].max()
             top2 = sorted(node_attention_scores(state.alpha).top(2))

@@ -20,10 +20,15 @@ from the prediction error and output*(1-output) derivative surrogates; it is
 deliberately not an exact-gradient method. All softmax outputs are
 nonnegative and sum to 1 along their axis to within 1e-9.
 
-Every training seed runs in one loop (`train_seeds`). The parameters carry a
-leading seed axis, and the masked adjacency A_hat * alpha, the products
-(A_hat * alpha) X w and M_X, the prediction softmax, both updates and the
-loss are stacked arrays over the seeds. numpy runs a stacked matmul as the
+Training seeds run together in one loop (`train_seeds`), in blocks of as
+many seeds as keep each stacked array under about BLOCK_BYTES. On small
+graphs such as the paper's 8-node model every seed is in one block, which
+saves numpy's per-call overhead; from about n = 360 on a block holds one
+seed, so memory does not grow with the number of seeds. Within a block
+the parameters carry a leading seed axis, and the masked adjacency
+A_hat * alpha, the products (A_hat * alpha) X w and M_X, the prediction
+softmax, both updates and the loss are stacked arrays over the seeds. A
+seed's results do not depend on its block: numpy runs a stacked matmul as the
 same BLAS call per seed that one seed's product makes, and every reduction
 adds along the same contiguous axis in the same order, so each seed's
 parameters, losses and outputs are bit for bit those of training it alone.
@@ -37,7 +42,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,6 +51,7 @@ from .graph import FeatureMatrix, SignedWeightedDigraph
 from .scores import NodeScoreTable, ranked_table
 
 INIT_RANGE = 0.5  # both parameter blocks start uniform in [-INIT_RANGE, +INIT_RANGE]
+BLOCK_BYTES = 1 << 20  # train_seeds stacks seeds up to about this size per array
 
 
 @dataclass(frozen=True)
@@ -201,30 +207,32 @@ def train(
     they are for each seed of a batch, so a seed trained here or in a batch
     gives the same bits (see the module docstring).
     """
-    return train_seeds(graph, features, targets, [hyper])[0]
+    return train_seeds(graph, features, targets, hyper, [hyper.seed])[0]
 
 
 def train_seeds(
     graph: SignedWeightedDigraph,
     features: FeatureMatrix,
     targets,
-    hypers: Iterable[AgcnHyperparams],
+    hyper: AgcnHyperparams,
+    seeds: Iterable[int],
 ) -> list[AgcnState]:
-    """`train` for each of `hypers`, all seeds in one stacked loop; states in that order.
+    """`train` with `hyper` for each of `seeds`, stacked; states in that order.
 
-    The hyperparameters may differ only in `seed`. Each state is bit for bit
-    the one `train` gives for its seed alone (see the module docstring). If
-    seeds diverge, `DivergedTraining` names the first of them in the given
-    order, with its iteration, as training the seeds one after another would.
+    `hyper.seed` is not used. Each state is bit for bit the one `train` gives
+    for its seed alone (see the module docstring). The seeds train in blocks
+    whose largest stacked array stays under about BLOCK_BYTES, so memory does
+    not grow with the number of seeds on large graphs. If seeds diverge,
+    `DivergedTraining` names the first of them in the given order, with its
+    iteration, as training the seeds one after another would. A block is
+    checked only after all its iterations, so a seed that diverges early
+    still runs to the end on non-finite values with the rest of its block.
     """
-    hypers = list(hypers)
-    if not hypers:
-        raise BadParameter("hypers must not be empty")
-    hyper = hypers[0]
-    for name in (f.name for f in fields(AgcnHyperparams) if f.name != "seed"):
-        values = sorted({getattr(h, name) for h in hypers})
-        if len(values) > 1:
-            raise BadParameter(f"hypers may differ only in seed, but {name} takes values {values}")
+    seeds = list(seeds)
+    if not seeds:
+        raise BadParameter("seeds must not be empty")
+    for seed in seeds:
+        replace(hyper, seed=seed)  # checks the seed as AgcnHyperparams does
     x = features.values
     n, f = x.shape
     if n != graph.n:
@@ -232,17 +240,28 @@ def train_seeds(
     y_target = np.asarray(targets, dtype=float).reshape(-1)
     if y_target.shape[0] != n:
         raise BadParameter(f"targets must have length {n}, got {y_target.shape[0]}")
+    a_hat = normalize_adjacency(graph)
+    pairs = np.nonzero(graph.weights + np.eye(n))  # ordered pairs of the self-looped graph
+    y_prime = self_attention_embed(features, hyper).y_prime
+    # per seed, the larger of the n x n arrays and the concatenated pair contributions
+    seed_bytes = 8 * max(n * n, 2 * f * pairs[0].size)
+    block = max(1, BLOCK_BYTES // seed_bytes)
     y_target = y_target.reshape(-1, 1)
-    mu, slope = hyper.learning_rate, hyper.leaky_slope
-    seeds = [h.seed for h in hypers]
+    states = []
+    for start in range(0, len(seeds), block):
+        block_seeds = seeds[start : start + block]
+        states += _train_block(a_hat, pairs, y_prime, x, y_target, hyper, block_seeds)
+    return states
 
+
+def _train_block(a_hat, pairs, y_prime, x, y_target, hyper: AgcnHyperparams, seeds) -> list:
+    """The training loop of `train_seeds` for one block of seeds."""
+    n, f = x.shape
+    mu, slope = hyper.learning_rate, hyper.leaky_slope
+    pair_src, pair_dst = pairs
     rngs = [np.random.default_rng(seed) for seed in seeds]  # each draws w_att, then w
     w_att = np.stack([rng.uniform(-INIT_RANGE, INIT_RANGE, size=2 * f) for rng in rngs])
     w = np.stack([rng.uniform(-INIT_RANGE, INIT_RANGE, size=(f, 1)) for rng in rngs])
-    a_hat = normalize_adjacency(graph)
-    a_tilde = graph.weights + np.eye(n)
-    pair_src, pair_dst = np.nonzero(a_tilde)
-    y_prime = self_attention_embed(features, hyper).y_prime
     deriv_prime = y_prime * (1.0 - y_prime)
 
     losses = np.empty((hyper.iterations, len(seeds)))
@@ -253,9 +272,7 @@ def train_seeds(
             alpha = _attention(y_prime, w_att, slope)
             y_pp, masked = _forward(a_hat, alpha, x, w, slope)
             err = y_target - y_pp
-            losses[iteration] = loss = (err**2).mean(axis=(1, 2))
-            if not np.isfinite(loss[0]):  # the first seed is reported whatever the others do
-                raise DivergedTraining(iteration, seeds[0])
+            losses[iteration] = (err**2).mean(axis=(1, 2))
 
             m_x = masked @ x
             w = w + mu * (err.swapaxes(1, 2) @ (m_x * (1.0 - m_x))).swapaxes(1, 2)

@@ -212,8 +212,9 @@ def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
         raise BadParameter("model has no 'labels' field; the attention method needs targets")
     if config.perturb_node is not None:
         features = agcn.perturb_features(features, config.perturb_node, config.perturb_factor)
-    hypers = [config.hyperparams(seed) for seed in config.seeds]
-    states = dict(zip(config.seeds, agcn.train_seeds(graph, features, graph.node_labels, hypers)))
+    hyper = config.hyperparams(config.seeds[0])
+    trained = agcn.train_seeds(graph, features, graph.node_labels, hyper, config.seeds)
+    states = dict(zip(config.seeds, trained))
     tables = {seed: agcn.node_attention_scores(state.alpha) for seed, state in states.items()}
     converged = {seed: state.final_loss <= CONVERGENCE_LOSS for seed, state in states.items()}
     representative = next((s for s in config.seeds if converged[s]), config.seeds[0])

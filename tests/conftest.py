@@ -1,15 +1,7 @@
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from netinstab import load_model
-
-# HYPOTHESIS_PROFILE=ci draws the same examples on every machine, so a failure
-# seen on one numpy replays on another
-settings.register_profile("ci", derandomize=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

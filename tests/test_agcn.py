@@ -1,4 +1,5 @@
-from dataclasses import fields
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from netinstab import (
     DivergedTraining,
     FeatureMatrix,
     SignedWeightedDigraph,
+    agcn,
     forward,
     node_attention_scores,
     normalize_adjacency,
@@ -108,16 +110,16 @@ def assert_same_states(got, want):
         assert np.array_equal(a, b), field.name
 
 
-def assert_trains_like_the_oracle(graph, features, targets, hypers):
+def assert_trains_like_the_oracle(graph, features, targets, hyper, seeds):
     """`train_seeds` gives the oracle's states `==`, or raises as it does."""
     try:
-        expected = [sequential_train(graph, features, targets, h) for h in hypers]
+        expected = [sequential_train(graph, features, targets, replace(hyper, seed=s)) for s in seeds]
     except DivergedTraining as oracle:
         with pytest.raises(DivergedTraining) as info:
-            train_seeds(graph, features, targets, hypers)
+            train_seeds(graph, features, targets, hyper, seeds)
         assert (info.value.seed, info.value.iteration) == (oracle.seed, oracle.iteration)
         return
-    for got, want in zip(train_seeds(graph, features, targets, hypers), expected, strict=True):
+    for got, want in zip(train_seeds(graph, features, targets, hyper, seeds), expected, strict=True):
         assert_same_states(got, want)
 
 
@@ -359,8 +361,7 @@ class TestTrain:
 class TestTrainSeeds:
     def test_piezo_seeds_equal_the_sequential_oracle(self, piezo):
         graph, features = piezo
-        hypers = [AgcnHyperparams(seed=seed) for seed in range(10)]
-        assert_trains_like_the_oracle(graph, features, graph.node_labels, hypers)
+        assert_trains_like_the_oracle(graph, features, graph.node_labels, DEFAULTS, range(10))
 
     @given(
         n=st.integers(1, 12),
@@ -372,10 +373,22 @@ class TestTrainSeeds:
         seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6, unique=True),
         iterations=st.integers(1, 60),
         learning_rate=st.sampled_from([0.0, 0.5, 1e52, 1e88, 1e308]) | st.floats(0.0, 10.0),
+        block_bytes=st.sampled_from([agcn.BLOCK_BYTES, 1, 2000]),  # all, one or a few seeds a block
     )
-    @settings(max_examples=150, deadline=None)
+    # derandomized: every machine and numpy version draws the same examples
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_matches_the_sequential_oracle(
-        self, n, width, graph_seed, density, scale, perturb, seeds, iterations, learning_rate
+        self,
+        n,
+        width,
+        graph_seed,
+        density,
+        scale,
+        perturb,
+        seeds,
+        iterations,
+        learning_rate,
+        block_bytes,
     ):
         rng = np.random.default_rng(graph_seed)
         graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density))
@@ -383,12 +396,26 @@ class TestTrainSeeds:
         if perturb is not None:
             features = perturb_features(features, perturb[0] % n, perturb[1])
         targets = rng.random(n)
-        hypers = [
-            AgcnHyperparams(seed=seed, iterations=iterations, learning_rate=learning_rate)
-            for seed in seeds
-        ]
-        assert_trains_like_the_oracle(graph, features, targets, hypers)
+        hyper = AgcnHyperparams(iterations=iterations, learning_rate=learning_rate)
+        with mock.patch.object(agcn, "BLOCK_BYTES", block_bytes):
+            assert_trains_like_the_oracle(graph, features, targets, hyper, seeds)
 
+    @pytest.mark.parametrize("block_bytes, blocks", [(agcn.BLOCK_BYTES, [10]), (1, [1] * 10)])
+    def test_blocks_of_seeds(self, piezo, monkeypatch, block_bytes, blocks):
+        graph, features = piezo
+        sizes, train_block = [], agcn._train_block
+
+        def counted(*args):
+            sizes.append(len(args[-1]))  # the block's seeds
+            return train_block(*args)
+
+        monkeypatch.setattr(agcn, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(agcn, "_train_block", counted)
+        hyper = AgcnHyperparams(iterations=50)
+        assert_trains_like_the_oracle(graph, features, graph.node_labels, hyper, range(10))
+        assert sizes == blocks
+
+    @pytest.mark.parametrize("block_bytes", [agcn.BLOCK_BYTES, 1])
     @pytest.mark.parametrize(
         "model, seeds, iterations, expected",
         [
@@ -399,29 +426,21 @@ class TestTrainSeeds:
         ],
     )
     def test_divergence_names_the_first_diverging_seed_in_order(
-        self, model, seeds, iterations, expected
+        self, monkeypatch, model, seeds, iterations, expected, block_bytes
     ):
+        monkeypatch.setattr(agcn, "BLOCK_BYTES", block_bytes)
         graph, features, targets, learning_rate = model
-        hypers = [
-            AgcnHyperparams(seed=seed, iterations=iterations, learning_rate=learning_rate)
-            for seed in seeds
-        ]
+        hyper = AgcnHyperparams(iterations=iterations, learning_rate=learning_rate)
         with pytest.raises(DivergedTraining, match=f"seed {expected[0]}:") as info:
-            train_seeds(graph, features, targets, hypers)
+            train_seeds(graph, features, targets, hyper, seeds)
         assert (info.value.seed, info.value.iteration) == expected
-        assert_trains_like_the_oracle(graph, features, targets, hypers)
+        assert_trains_like_the_oracle(graph, features, targets, hyper, seeds)
 
-    @pytest.mark.parametrize("field, value", [("learning_rate", 0.1), ("iterations", 7), ("leaky_slope", 0.2)])
-    def test_hypers_may_differ_only_in_seed(self, piezo, field, value):
+    @pytest.mark.parametrize("seeds", [[], [0, -1], [0.5]])
+    def test_bad_seeds(self, piezo, seeds):
         graph, features = piezo
-        hypers = [AgcnHyperparams(seed=0), AgcnHyperparams(seed=1, **{field: value})]
-        with pytest.raises(BadParameter, match=field):
-            train_seeds(graph, features, graph.node_labels, hypers)
-
-    def test_no_hypers(self, piezo):
-        graph, features = piezo
-        with pytest.raises(BadParameter, match="hypers"):
-            train_seeds(graph, features, graph.node_labels, [])
+        with pytest.raises(BadParameter, match="seed"):
+            train_seeds(graph, features, graph.node_labels, DEFAULTS, seeds)
 
 
 class TestAttentionScores:
