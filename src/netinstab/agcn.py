@@ -100,13 +100,24 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def self_attention_embed(features: FeatureMatrix, hyper: AgcnHyperparams) -> EmbeddingIntermediates:
-    """Gram-weighted feature averaging followed by LeakyReLU and a per-node softmax."""
+    """Gram-weighted feature averaging followed by LeakyReLU and a per-node softmax.
+
+    Raises `BadParameter` naming the features when X X^T, Y or Y' is not
+    finite: Y is cubic in the features, so entries past about 5e102 overflow
+    float64.
+    """
     x = features.values
     if x.size == 0:
         raise BadParameter("feature matrix is empty")
-    omega_self = x @ x.T
-    y = omega_self @ x
-    y_prime = _softmax_rows(_leaky_relu(y, hyper.leaky_slope))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        omega_self = x @ x.T
+        y = omega_self @ x
+        y_prime = _softmax_rows(_leaky_relu(y, hyper.leaky_slope))
+    for name, value in (("X X^T", omega_self), ("Y = X X^T X", y), ("Y'", y_prime)):
+        if not np.isfinite(value).all():
+            raise BadParameter(
+                f"features overflow the self-attention embedding: {name} is not finite in float64"
+            )
     return EmbeddingIntermediates(omega_self=omega_self, y=y, y_prime=y_prime)
 
 

@@ -5,6 +5,13 @@ Rankings are oriented so rank 1 is "most unstable" (or most attended), by
 `scores.DESCENDING`; `METHODS` holds each method's runner in run order.
 Artifacts use fixed 6-significant-digit float formatting so identical configs
 reproduce byte-identical files.
+
+The two-step walks are almost all of the output, and both `walk_tree.csv` and
+summary.json list every one of them. Their rows are formatted straight from
+the `Walks` columns (`_walk_row_blocks`): each node index, edge weight and
+(start, mid) pair is formatted once, and each row takes one `%`-format call
+whose only float is the walk's product. The rows are written in blocks, so
+neither text is held whole.
 """
 from __future__ import annotations
 
@@ -14,14 +21,17 @@ import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import agcn, motifs, spectral, walks
 from .errors import BadParameter
 from .graph import load_model
 from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
+from .walks import WALK_COLUMNS, Walks
 
 # stands in for the nstc walk list while the rest of the summary is encoded
 _WALKS_PLACEHOLDER = "netinstab:walks-placeholder"
-_WALK_CHUNK_ROWS = 4096  # walk rows per C-encoder call, which bounds the text held at once
+_WALK_CHUNK_ROWS = 1024  # walk rows formatted per block, which bounds the text held at once
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
 # each grid point costs one verified O(n^3) eigen-solve per node (about 2 ms at
 # n = 48), so a grid past this (a delta_step of 1e-7 gives 25 million points)
@@ -148,51 +158,86 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _number_csv(header, rows: list[tuple]) -> str:
-    """`_csv` for rows of numbers: one %-format per row instead of one `_fmt` per cell."""
-    row_format = ",".join(["%.6g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join(row_format % row for row in rows)
+def _walk_row_blocks(walks: Walks, weights, number, pair_format: str, row_format: str):
+    """The rows of `walks`, formatted `_WALK_CHUNK_ROWS` at a time; one list of row texts per block.
+
+    Each node index and each edge's weight are formatted once by `number`, and
+    each edge's (start, mid) pair once by `pair_format`; these tables are read
+    by edge id. `row_format` then takes one walk's (start, mid) pair, end, w1
+    and w2 texts and its product as a Python float.
+    """
+    n = len(weights)
+    nodes = [number(k) for k in range(n)]
+    node_text = np.array(nodes, dtype=object)
+    flat = weights.ravel()
+    edges = np.flatnonzero(flat)
+    weight_text = np.empty(flat.size, dtype=object)
+    weight_text[edges] = [number(w) for w in flat[edges].tolist()]
+    pair_text = np.empty(flat.size, dtype=object)
+    pair_text[edges] = [pair_format % (nodes[e // n], nodes[e % n]) for e in edges.tolist()]
+    for lo in range(0, len(walks), _WALK_CHUNK_ROWS):
+        block = slice(lo, lo + _WALK_CHUNK_ROWS)
+        mid, end = walks.mid[block], walks.end[block]
+        first, second = walks.start[block] * n + mid, mid * n + end
+        columns = (pair_text[first], node_text[end], weight_text[first], weight_text[second])
+        rows = zip(*(c.tolist() for c in columns), walks.product[block].tolist())
+        yield list(map(row_format.__mod__, rows))
 
 
-def _summary_pieces(summary: dict):
+def _walk_csv(walks: Walks, weights):
+    """The text of `walk_tree.csv`, in pieces: `_csv` of `walks.rows()`, with every number `%.6g`."""
+    yield ",".join(WALK_COLUMNS) + "\n"
+    number = "%.6g".__mod__
+    for rows in _walk_row_blocks(walks, weights, number, "%s,%s", "%s,%s,%s,%s,%.6g\n"):
+        yield "".join(rows)
+
+
+def _summary_pieces(summary: dict, walks: Walks | None = None, weights=None):
     """Strings whose concatenation is `json.dumps(summary, indent=2, sort_keys=True)`.
 
-    `json.dumps` falls back to its pure-Python encoder whenever `indent` is set,
-    and the nstc walk list is almost all of the document. So the rest is
-    encoded with a placeholder in place of that list, and the walk rows,
-    `_WALK_CHUNK_ROWS` at a time, by the C encoder with a newline-and-indent item
-    separator; each row boundary is then re-indented the way `indent=2` lays
-    it out. Both encoders write numbers, `Infinity` and `NaN` with the same
-    `float.__repr__` and `int.__repr__` tokens, so the bytes are the same.
+    The nstc walk list, `summary["methods"]["nstc"]["walks"]`, is almost all of
+    the document. When `walks` holds its columns (and `weights` the graph's
+    weights), the rest is encoded with a placeholder in place of that list, and
+    the walk rows are formatted straight from the columns, laid out the way
+    `indent=2` lays them out. Their numbers are the tokens json writes for
+    finite numbers, `int.__repr__` and `float.__repr__`, so the bytes are the
+    same; `SignedWeightedDigraph` refuses non-finite weights. No walks, a
+    non-finite product (which json writes as `Infinity` or `NaN`) or a
+    `config` string that holds the placeholder's token take the one
+    `json.dumps` call.
     """
-    nstc = summary["methods"].get("nstc", {})
-    walk_rows = nstc.get("walks")
-    if walk_rows:
+    if walks is not None and len(walks) and np.isfinite(walks.product).all():
+        nstc = summary["methods"]["nstc"]
         methods = {**summary["methods"], "nstc": {**nstc, "walks": _WALKS_PLACEHOLDER}}
         text = json.dumps({**summary, "methods": methods}, indent=2, sort_keys=True)
         token = json.dumps(_WALKS_PLACEHOLDER)
-        if text.count(token) == 1:  # a config string holding the token takes the one-call form
+        if text.count(token) == 1:
             head, _, tail = text.partition(token)
             line = head[head.rfind("\n") + 1 :]
             outer = " " * (len(line) - len(line.lstrip(" ")))  # the "walks" key's indent
             row, cell = outer + "  ", outer + "    "
-            boundary = f"\n{row}],\n{row}[\n{cell}"
-            yield f"{head}[\n{row}[\n{cell}"
-            for lo in range(0, len(walk_rows), _WALK_CHUNK_ROWS):
-                rows = json.dumps(walk_rows[lo : lo + _WALK_CHUNK_ROWS], separators=(",\n" + cell, ":"))
-                # rows hold only numbers, so "],<separator>[" occurs only between two rows
-                yield (boundary if lo else "") + rows[2:-2].replace("],\n" + cell + "[", boundary)
-            yield f"\n{row}]\n{outer}]{tail}"
+            pair_format = f"%s,\n{cell}%s"
+            row_format = f"{row}[\n{cell}%s,\n{cell}%s,\n{cell}%s,\n{cell}%s,\n{cell}%r\n{row}]"
+            blocks = _walk_row_blocks(walks, weights, repr, pair_format, row_format)
+            yield f"{head}[\n"
+            for i, rows in enumerate(blocks):
+                yield (",\n" if i else "") + ",\n".join(rows)
+            yield f"\n{outer}]{tail}"
             return
     yield json.dumps(summary, indent=2, sort_keys=True)
 
 
-def _write_summary(path: Path, summary: dict) -> None:
-    """Stream `summary` as indented JSON into a temporary file that then replaces `path`."""
+def _write_summary(path: Path, summary: dict, walks: Walks | None = None, weights=None) -> None:
+    """Stream `summary` as indented JSON into a temporary file that then replaces `path`.
+
+    `walks` and `weights` are the `Walks` record and the graph's weight matrix
+    behind the summary's nstc walk list, which `_summary_pieces` formats from
+    the columns.
+    """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as f:
-            f.writelines(_summary_pieces(summary))
+            f.writelines(_summary_pieces(summary, walks, weights))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -228,7 +273,7 @@ def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
             [[node, table.scores[node], table.rank_of(node)] for node in range(graph.n)],
         ),
     )
-    return table, texts, {
+    return table, texts, None, {
         "representative_seed": representative,
         "perturb_node": config.perturb_node,
         "perturb_factor": config.perturb_factor if config.perturb_node is not None else None,
@@ -254,34 +299,34 @@ def _run_spectral(config: AnalysisConfig, graph, features) -> tuple:
         [list(cell.values()) for cell in cells],
     )
     ranking = ranked_table("spectral", spectral.sweep_end_scores(table))
-    return ranking, (csv,), {"deltas": list(table.deltas), "cells": cells}
+    return ranking, (csv,), None, {"deltas": list(table.deltas), "cells": cells}
 
 
 def _run_motifs(config: AnalysisConfig, graph, features) -> tuple:
     rows = [asdict(r) for r in motifs.motif_table(graph)]
     csv = _csv(["node", "w3", "w4", "w5", "w6", "total_cost"], [list(r.values()) for r in rows])
     table = ranked_table("motifs", [r["total_cost"] for r in rows])
-    return table, (csv,), {"rows": rows}
+    return table, (csv,), None, {"rows": rows}
 
 
 def _run_nstc(config: AnalysisConfig, graph, features) -> tuple:
     all_walks = walks.all_walks(graph)
     rows = walks.nstc_table(graph, all_walks)
     table = ranked_table("nstc", [r.nstc for r in rows])
-    walk_rows = all_walks.rows()
     texts = (
         _csv(
             ["node", "n_paths", "nstc", "rank"],
             [[r.node, r.n_paths, r.nstc, table.rank_of(r.node)] for r in rows],
         ),
-        _number_csv(walks.WALK_COLUMNS, walk_rows),
+        _walk_csv(all_walks, graph.weights),
     )
-    return table, texts, {"rows": [asdict(r) for r in rows], "walks": walk_rows}
+    return table, texts, all_walks, {"rows": [asdict(r) for r in rows], "walks": all_walks.rows()}
 
 
 # Run order. Each runner maps (config, graph, features) to its ranking, the
-# texts of its CSV files in `ARTIFACTS` order and its summary fields, and does
-# no I/O.
+# texts of its CSV files in `ARTIFACTS` order (a string, or an iterable of
+# pieces that formats them as it is written), the `Walks` whose rows its
+# summary fields hold as "walks" (or None), and those fields. It does no I/O.
 METHODS = {
     "attention": _run_attention,
     "spectral": _run_spectral,
@@ -305,9 +350,11 @@ def run(config: AnalysisConfig) -> dict:
     per-method CSVs appears in it. Deterministic given the config.
 
     summary.json holds exactly `json.dumps(summary, indent=2, sort_keys=True)`.
-    It is streamed in pieces, with the walk list encoded by json's C encoder,
-    into a temporary file that then atomically replaces any summary.json
-    already there (see `_summary_pieces`).
+    The summary's nstc walk list is a list of (start, mid, end, w1, w2,
+    product) tuples, but the file's walk rows, like `walk_tree.csv`'s, are
+    formatted from the `Walks` columns in blocks (see `_summary_pieces`). The
+    file is streamed into a temporary file that then atomically replaces any
+    summary.json already there.
 
     A graph past the motif work bound (`motifs.check_size`) is refused before
     any method runs or any file is written. The CSVs are written only after every
@@ -325,12 +372,15 @@ def run(config: AnalysisConfig) -> dict:
         raise BadParameter(f"output_dir {config.output_dir!r} cannot be created: {exc}") from exc
 
     tables: dict[str, NodeScoreTable] = {}
-    files: dict[str, str] = {}
+    files: dict = {}
     method_summaries = {}
+    walk_columns = None
     for name, runner in METHODS.items():
         if name not in config.methods:
             continue
-        table, texts, fields = runner(config, graph, features)
+        table, texts, method_walks, fields = runner(config, graph, features)
+        if method_walks is not None:
+            walk_columns = method_walks
         tables[name] = table
         files.update(zip(ARTIFACTS[name], texts, strict=True))
         method_summaries[name] = {**fields, **_ranking(table)}
@@ -346,8 +396,10 @@ def run(config: AnalysisConfig) -> dict:
         for stale in ARTIFACTS[name]:
             (out / stale).unlink(missing_ok=True)
     for name in list(files):  # each text is dropped once written, before the summary is encoded
-        (out / name).write_text(files.pop(name))
-    _write_summary(out / "summary.json", summary)
+        text = files.pop(name)
+        with open(out / name, "w") as f:
+            f.writelines([text] if isinstance(text, str) else text)
+    _write_summary(out / "summary.json", summary, walk_columns, graph.weights)
     return summary
 
 

@@ -30,6 +30,8 @@ from netinstab.agcn import (
     _softmax_rows,
     perturb_features,
 )
+from netinstab.cli import main
+from netinstab.graph import save_model
 from conftest import random_signed_digraph_weights
 
 DEFAULTS = AgcnHyperparams()
@@ -172,6 +174,31 @@ class TestEmbedding:
             assert e.omega_self[i, i] == pytest.approx(float(x[i] @ x[i]))
         assert np.all(e.y_prime >= 0)
         assert np.allclose(e.y_prime.sum(axis=1), 1.0, atol=1e-9)
+
+    # X X^T overflows at 1e200; at 1e136 only Y = X X^T X does; -1e136 overflows Y to -inf
+    @pytest.mark.parametrize("scale, name", [(1e200, "X X^T"), (1e136, "Y = "), (-1e136, "Y = ")])
+    def test_overflow_fails_closed_naming_the_features(self, piezo, scale, name):
+        features = FeatureMatrix(values=piezo[1].values * scale)
+        with pytest.raises(BadParameter, match="^features overflow") as info:
+            self_attention_embed(features, DEFAULTS)
+        assert name in str(info.value)
+
+    def test_overflow_is_refused_before_any_seed_trains(self, piezo, monkeypatch):
+        graph, features = piezo
+        monkeypatch.setattr(agcn, "_train_block", mock.Mock(side_effect=AssertionError("trained")))
+        huge = FeatureMatrix(values=features.values * 1e136)
+        with pytest.raises(BadParameter, match="^features overflow"):
+            train_seeds(graph, huge, graph.node_labels, DEFAULTS, [3])
+
+    def test_analyze_exits_1_on_overflowing_features(self, piezo, tmp_path, capsys):
+        graph, features = piezo
+        model = tmp_path / "model.json"
+        save_model(model, graph, FeatureMatrix(values=features.values * 1e136))
+        out = tmp_path / "out"
+        argv = ["analyze", "--model", str(model), "--method", "attention", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: features overflow")
+        assert list(out.iterdir()) == []
 
 
 class TestPairAttention:

@@ -23,17 +23,23 @@ from netinstab import (
     nstc_ranking,
     ranked_table,
 )
+from netinstab import report
 from netinstab.cli import main
 from netinstab.report import (
+    _WALK_CHUNK_ROWS,
     _WALKS_PLACEHOLDER,
     CONVERGENCE_LOSS,
     MAX_DELTA_POINTS,
+    _csv,
     _write_summary,
     concordance_from_summary,
     run,
     tables_from_summary,
 )
+from netinstab.walks import WALK_COLUMNS, all_walks
+from conftest import random_signed_digraph_weights
 from test_agcn import sequential_train
+from test_walks import extreme_digraphs, signed_digraphs
 
 
 def write_model(path, weights):
@@ -364,7 +370,6 @@ FLOAT_EDGES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.2e-308, 1e-3
 numbers = st.one_of(
     st.sampled_from(FLOAT_EDGES), st.floats(allow_nan=True, allow_infinity=True), st.integers()
 )
-walk_row = st.tuples(st.integers(0, 200), st.integers(0, 200), st.integers(0, 200), numbers, numbers, numbers)
 output_dirs = st.one_of(
     st.text(max_size=8),
     st.just(_WALKS_PLACEHOLDER),  # encodes to the very token that marks the walk list
@@ -372,46 +377,104 @@ output_dirs = st.one_of(
 )
 
 
+def nstc_summary(walks, output_dir="out", **fields) -> dict:
+    """A summary shaped like `run`'s, whose nstc walk list holds the rows of `walks`."""
+    nstc = {"rows": [{"node": 0, "n_paths": 1, "nstc": 1.0}], **fields, "walks": walks.rows()}
+    return {"config": {"output_dir": output_dir, "top_k": 2}, "n": 3, "methods": {"nstc": nstc}}
+
+
 @st.composite
 def summaries(draw):
-    methods = {"motifs": {"rows": draw(st.lists(st.dictionaries(st.sampled_from("ab"), numbers), max_size=3))}}
+    """(summary, walks, weights): a summary whose walk list is the rows of a graph's `Walks`."""
+    graph = draw(signed_digraphs() | extreme_digraphs())
+    walks = all_walks(graph)
+    summary = nstc_summary(walks, draw(output_dirs), scores=draw(st.lists(numbers, max_size=3)))
     if draw(st.booleans()):
-        methods["nstc"] = {
-            "rows": [{"node": 0, "n_paths": 1, "nstc": draw(numbers)}],
-            "scores": draw(st.lists(numbers, max_size=3)),
-            "walks": draw(st.lists(walk_row, max_size=12)),  # empty, one row, several chunks
+        summary["methods"]["motifs"] = {
+            "rows": draw(st.lists(st.dictionaries(st.sampled_from("ab"), numbers), max_size=3))
         }
-    return {"config": {"output_dir": draw(output_dirs), "top_k": 2}, "n": 3, "methods": methods}
+    return summary, walks, graph.weights
 
 
 class TestSummaryWriter:
-    def write(self, summary) -> bytes:
+    def write(self, summary, walks=None, weights=None) -> bytes:
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "summary.json"
-            _write_summary(path, summary)
+            _write_summary(path, summary, walks, weights)
             assert os.listdir(d) == ["summary.json"]
             return path.read_bytes()
 
-    @given(summary=summaries(), chunk_rows=st.integers(1, 5))
+    @given(drawn=summaries(), chunk_rows=st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
-    def test_bytes_equal_indented_dumps(self, summary, chunk_rows):
+    def test_bytes_equal_indented_dumps(self, drawn, chunk_rows):
+        summary, walks, weights = drawn
         expected = json.dumps(summary, indent=2, sort_keys=True).encode()
         with mock.patch("netinstab.report._WALK_CHUNK_ROWS", chunk_rows):
-            assert self.write(summary) == expected
+            assert self.write(summary, walks, weights) == expected
 
     def test_several_default_chunks(self):
-        walks = [(i % 7, i % 5, i % 3, i * 0.1, -1.0 / (i + 1), math.inf if i == 3 else i * 1e-320) for i in range(10_000)]
-        summary = {"config": {"output_dir": "out"}, "methods": {"nstc": {"walks": walks, "rows": []}}}
-        assert self.write(summary) == json.dumps(summary, indent=2, sort_keys=True).encode()
+        rng = np.random.default_rng(5)
+        graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, 30, density=1.0))
+        walks = all_walks(graph)
+        assert len(walks) > 4 * _WALK_CHUNK_ROWS
+        summary = nstc_summary(walks)
+        expected = json.dumps(summary, indent=2, sort_keys=True).encode()
+        assert self.write(summary, walks, graph.weights) == expected
+
+    @pytest.mark.parametrize("chunk_rows", [1, 4, 6])
+    def test_nonfinite_products_encode_as_json_does(self, chunk_rows):
+        graph = SignedWeightedDigraph(weights=np.ones((3, 3)))  # six walks
+        product = np.array([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.5])
+        walks = replace(all_walks(graph), product=product)
+        summary = nstc_summary(walks)
+        with mock.patch("netinstab.report._WALK_CHUNK_ROWS", chunk_rows):
+            text = self.write(summary, walks, graph.weights).decode()
+        assert text == json.dumps(summary, indent=2, sort_keys=True)
+        assert "Infinity" in text and "NaN" in text and "inf" not in text.replace("Infinity", "")
 
     def test_failed_write_leaves_the_old_file(self, tmp_path):
         path = tmp_path / "summary.json"
         path.write_text("old")
-        walks = [(0, 1, 2, 1.0, 1.0, 1.0)] * 5000 + [(0, 1, 2, 1.0, 1.0, object())]
-        with pytest.raises(TypeError):  # raised in the second chunk, after the first is written
-            _write_summary(path, {"config": {}, "methods": {"nstc": {"walks": walks}}})
+        graph = SignedWeightedDigraph(weights=np.ones((20, 20)))  # 6,840 walks: several blocks
+        walks = all_walks(graph)
+        written, blocks = [], report._walk_row_blocks
+
+        def second_block_fails(*args):
+            for rows in blocks(*args):
+                if written:
+                    raise OSError("disk full")
+                written.append(len(rows))
+                yield rows
+
+        with mock.patch("netinstab.report._walk_row_blocks", second_block_fails):
+            with pytest.raises(OSError, match="disk full"):
+                _write_summary(path, nstc_summary(walks), walks, graph.weights)
+        assert written == [_WALK_CHUNK_ROWS]  # the first block went to the temporary file
         assert path.read_text() == "old"
         assert os.listdir(tmp_path) == ["summary.json"]
+
+    @given(
+        graph=extreme_digraphs(),
+        chunk_rows=st.integers(1, 5),
+        # the second name puts the walk list's token in the config, which takes the one-call form
+        name=st.sampled_from(["out", 'q"' + _WALKS_PLACEHOLDER, _WALKS_PLACEHOLDER]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_run_writes_the_returned_summary_and_walk_rows(self, graph, chunk_rows, name):
+        with tempfile.TemporaryDirectory() as d, mock.patch("netinstab.report._WALK_CHUNK_ROWS", chunk_rows):
+            out = Path(d) / name
+            model = write_model(Path(d) / "model.json", graph.weights)
+            try:
+                summary = run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(out)))
+            except NumericalFailure:  # an overflowing product or mean is refused before any write
+                assert os.listdir(out) == []
+                return
+            walks = all_walks(graph)
+            assert np.isfinite(walks.product).all()
+            assert summary["methods"]["nstc"]["walks"] == walks.rows()
+            assert (out / "walk_tree.csv").read_text() == _csv(list(WALK_COLUMNS), walks.rows())
+            expected = json.dumps(summary, indent=2, sort_keys=True).encode()
+            assert (out / "summary.json").read_bytes() == expected
 
 
 class TestCli:

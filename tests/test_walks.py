@@ -1,10 +1,12 @@
 import json
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from netinstab import (
     NstcRow,
@@ -16,7 +18,7 @@ from netinstab import (
     two_step_walks,
 )
 from netinstab.cli import main
-from netinstab.report import AnalysisConfig, _csv, _number_csv, run
+from netinstab.report import AnalysisConfig, _csv, _walk_csv, run
 from netinstab.walks import WALK_COLUMNS, all_walks
 from conftest import random_signed_digraph_weights
 
@@ -65,6 +67,20 @@ def signed_digraphs(draw):
     weights = random_signed_digraph_weights(rng, n, density=density)  # diagonal included
     weights[draw(st.lists(st.integers(0, n - 1), max_size=n)), :] = 0.0
     return SignedWeightedDigraph(weights=weights)
+
+
+# pairs near 1e-200 whose products underflow to +-0.0, subnormals, and magnitudes at the
+# edge of float64 overflow: 1.3e154 squared is finite, 1.4e154 squared is not
+EXTREME_WEIGHTS = [1e-200, 3e-200, 5e-324, 2.5e-310, 1.3e154, 1.4e154, 0.75, 2.0]
+
+
+@st.composite
+def extreme_digraphs(draw):
+    """Signed digraphs with n <= 6 whose weights are mostly extreme, or any finite float."""
+    n = draw(st.integers(1, 6))
+    signed = [0.0] + EXTREME_WEIGHTS + [-w for w in EXTREME_WEIGHTS]
+    elements = st.sampled_from(signed) | st.floats(allow_nan=False, allow_infinity=False)
+    return SignedWeightedDigraph(weights=draw(arrays(float, (n, n), elements=elements)))
 
 
 class TestTwoStepWalks:
@@ -166,11 +182,13 @@ class TestVectorisedWalks:
         assert nstc_table(graph, all_walks(graph)) == expected
         assert [nstc(graph, k) for k in range(graph.n)] == expected
 
-    @given(graph=signed_digraphs())
-    @settings(max_examples=60, deadline=None)
-    def test_walk_tree_bytes_equal_generic_csv(self, graph):
-        rows = all_walks(graph).rows()
-        assert _number_csv(WALK_COLUMNS, rows) == _csv(list(WALK_COLUMNS), rows)
+    @given(graph=signed_digraphs() | extreme_digraphs(), chunk_rows=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_walk_tree_bytes_equal_generic_csv(self, graph, chunk_rows):
+        walks = all_walks(graph)
+        with mock.patch("netinstab.report._WALK_CHUNK_ROWS", chunk_rows):
+            text = "".join(_walk_csv(walks, graph.weights))
+        assert text == _csv(list(WALK_COLUMNS), walks.rows())
 
 
 OVERFLOWING = {
