@@ -68,11 +68,10 @@ def main(argv=None) -> int:
             print(f"wrote artifacts to {config.output_dir}")
             return 0
         summary_path = Path(args.summary)
-        if not summary_path.exists():
-            print(f"error: summary file not found: {summary_path}", file=sys.stderr)
-            return 1
         try:
-            summary = json.loads(summary_path.read_text())
+            summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
+            raise BadParameter(f"summary file {str(summary_path)!r} cannot be read: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise BadParameter(f"summary file is not valid JSON: {exc}") from exc
         report = concordance_from_summary(summary, args.top_k)

@@ -104,10 +104,10 @@ def load_model(source, variant: str = "appendix") -> tuple[SignedWeightedDigraph
         raise BadParameter(f"variant must be one of {VARIANTS}, got {variant!r}")
     alias = str(source) == _FIXTURE_ALIAS
     path = fixture_path() if alias else Path(source)
-    if not path.exists():
-        raise MalformedModel(f"model file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
+        raise MalformedModel(f"model file {str(path)!r} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedModel(f"model file is not valid JSON: {exc}") from exc
     if alias and variant == "printed":
@@ -118,20 +118,29 @@ def load_model(source, variant: str = "appendix") -> tuple[SignedWeightedDigraph
 
 def model_from_dict(doc: dict) -> tuple[SignedWeightedDigraph, FeatureMatrix]:
     """Build (graph, features) from a parsed model document; unknown keys are ignored."""
+    if not isinstance(doc, dict):
+        raise MalformedModel(f"model document must be a JSON object, got {type(doc).__name__}")
     for key in ("n", "adjacency", "features"):
         if key not in doc:
             raise MalformedModel(f"model document is missing field {key!r}")
     n = doc["n"]
     if not isinstance(n, int) or n < 1:
         raise MalformedModel(f"field 'n' must be a positive integer, got {n!r}")
-    adj = np.asarray(doc["adjacency"], dtype=float)
+    adj = _number_table(doc, "adjacency")
     if adj.shape != (n, n):
         raise MalformedModel(f"adjacency must be {n}x{n}, got shape {adj.shape}")
-    feat = np.asarray(doc["features"], dtype=float)
+    feat = _number_table(doc, "features")
     if feat.ndim != 2 or feat.shape[0] != n:
         raise MalformedModel(f"features must have {n} rows, got shape {feat.shape}")
     graph = SignedWeightedDigraph(weights=adj, node_labels=doc.get("labels"))
     return graph, FeatureMatrix(values=feat)
+
+
+def _number_table(doc: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:  # a non-number cell or ragged rows
+        raise MalformedModel(f"field {key!r} must be a table of numbers: {exc}") from exc
 
 
 def model_to_dict(graph: SignedWeightedDigraph, features: FeatureMatrix) -> dict:

@@ -6,12 +6,10 @@ Rankings are oriented so rank 1 is "most unstable" (or most attended), by
 Artifacts use fixed 6-significant-digit float formatting so identical configs
 reproduce byte-identical files.
 
-The two-step walks are almost all of the output, and both `walk_tree.csv` and
-summary.json list every one of them. Their rows are formatted straight from
-the `Walks` columns (`_walk_row_blocks`): each node index, edge weight and
-(start, mid) pair is formatted once, and each row takes one `%`-format call
-whose only float is the walk's product. The rows are written in blocks, so
-neither text is held whole.
+The two-step walks are almost all of the output. `walk_tree.csv` is the one
+place that lists them; summary.json holds each node's walk count (`n_paths`)
+but not the walks. Their rows are formatted straight from the `Walks` columns
+(`_walk_csv`) and written in blocks, so the text is never held whole.
 """
 from __future__ import annotations
 
@@ -29,8 +27,6 @@ from .graph import load_model
 from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 from .walks import WALK_COLUMNS, Walks
 
-# stands in for the nstc walk list while the rest of the summary is encoded
-_WALKS_PLACEHOLDER = "netinstab:walks-placeholder"
 _WALK_CHUNK_ROWS = 1024  # walk rows formatted per block, which bounds the text held at once
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
 # each grid point costs one verified O(n^3) eigen-solve per node (about 2 ms at
@@ -158,86 +154,39 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _walk_row_blocks(walks: Walks, weights, number, pair_format: str, row_format: str):
-    """The rows of `walks`, formatted `_WALK_CHUNK_ROWS` at a time; one list of row texts per block.
+def _walk_csv(walks: Walks, weights):
+    """The text of `walk_tree.csv`, in pieces: `_csv` of `walks.rows()`, with every number `%.6g`.
 
-    Each node index and each edge's weight are formatted once by `number`, and
-    each edge's (start, mid) pair once by `pair_format`; these tables are read
-    by edge id. `row_format` then takes one walk's (start, mid) pair, end, w1
-    and w2 texts and its product as a Python float.
+    Each node index and each edge's weight and (start, mid) pair are formatted
+    once, into tables read by edge id; each row then takes one `%`-format call
+    whose only float is the walk's product. The rows go out `_WALK_CHUNK_ROWS`
+    at a time.
     """
+    yield ",".join(WALK_COLUMNS) + "\n"
     n = len(weights)
-    nodes = [number(k) for k in range(n)]
+    nodes = ["%.6g" % k for k in range(n)]
     node_text = np.array(nodes, dtype=object)
     flat = weights.ravel()
     edges = np.flatnonzero(flat)
     weight_text = np.empty(flat.size, dtype=object)
-    weight_text[edges] = [number(w) for w in flat[edges].tolist()]
+    weight_text[edges] = ["%.6g" % w for w in flat[edges].tolist()]
     pair_text = np.empty(flat.size, dtype=object)
-    pair_text[edges] = [pair_format % (nodes[e // n], nodes[e % n]) for e in edges.tolist()]
+    pair_text[edges] = [f"{nodes[e // n]},{nodes[e % n]}" for e in edges.tolist()]
     for lo in range(0, len(walks), _WALK_CHUNK_ROWS):
         block = slice(lo, lo + _WALK_CHUNK_ROWS)
         mid, end = walks.mid[block], walks.end[block]
         first, second = walks.start[block] * n + mid, mid * n + end
         columns = (pair_text[first], node_text[end], weight_text[first], weight_text[second])
         rows = zip(*(c.tolist() for c in columns), walks.product[block].tolist())
-        yield list(map(row_format.__mod__, rows))
+        yield "".join(map("%s,%s,%s,%s,%.6g\n".__mod__, rows))
 
 
-def _walk_csv(walks: Walks, weights):
-    """The text of `walk_tree.csv`, in pieces: `_csv` of `walks.rows()`, with every number `%.6g`."""
-    yield ",".join(WALK_COLUMNS) + "\n"
-    number = "%.6g".__mod__
-    for rows in _walk_row_blocks(walks, weights, number, "%s,%s", "%s,%s,%s,%s,%.6g\n"):
-        yield "".join(rows)
-
-
-def _summary_pieces(summary: dict, walks: Walks | None = None, weights=None):
-    """Strings whose concatenation is `json.dumps(summary, indent=2, sort_keys=True)`.
-
-    The nstc walk list, `summary["methods"]["nstc"]["walks"]`, is almost all of
-    the document. When `walks` holds its columns (and `weights` the graph's
-    weights), the rest is encoded with a placeholder in place of that list, and
-    the walk rows are formatted straight from the columns, laid out the way
-    `indent=2` lays them out. Their numbers are the tokens json writes for
-    finite numbers, `int.__repr__` and `float.__repr__`, so the bytes are the
-    same; `SignedWeightedDigraph` refuses non-finite weights. No walks, a
-    non-finite product (which json writes as `Infinity` or `NaN`) or a
-    `config` string that holds the placeholder's token take the one
-    `json.dumps` call.
-    """
-    if walks is not None and len(walks) and np.isfinite(walks.product).all():
-        nstc = summary["methods"]["nstc"]
-        methods = {**summary["methods"], "nstc": {**nstc, "walks": _WALKS_PLACEHOLDER}}
-        text = json.dumps({**summary, "methods": methods}, indent=2, sort_keys=True)
-        token = json.dumps(_WALKS_PLACEHOLDER)
-        if text.count(token) == 1:
-            head, _, tail = text.partition(token)
-            line = head[head.rfind("\n") + 1 :]
-            outer = " " * (len(line) - len(line.lstrip(" ")))  # the "walks" key's indent
-            row, cell = outer + "  ", outer + "    "
-            pair_format = f"%s,\n{cell}%s"
-            row_format = f"{row}[\n{cell}%s,\n{cell}%s,\n{cell}%s,\n{cell}%s,\n{cell}%r\n{row}]"
-            blocks = _walk_row_blocks(walks, weights, repr, pair_format, row_format)
-            yield f"{head}[\n"
-            for i, rows in enumerate(blocks):
-                yield (",\n" if i else "") + ",\n".join(rows)
-            yield f"\n{outer}]{tail}"
-            return
-    yield json.dumps(summary, indent=2, sort_keys=True)
-
-
-def _write_summary(path: Path, summary: dict, walks: Walks | None = None, weights=None) -> None:
-    """Stream `summary` as indented JSON into a temporary file that then replaces `path`.
-
-    `walks` and `weights` are the `Walks` record and the graph's weight matrix
-    behind the summary's nstc walk list, which `_summary_pieces` formats from
-    the columns.
-    """
+def _write_summary(path: Path, summary: dict) -> None:
+    """Write `summary` as indented JSON into a temporary file that then replaces `path`."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as f:
-            f.writelines(_summary_pieces(summary, walks, weights))
+            f.write(json.dumps(summary, indent=2, sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -273,7 +222,7 @@ def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
             [[node, table.scores[node], table.rank_of(node)] for node in range(graph.n)],
         ),
     )
-    return table, texts, None, {
+    return table, texts, {
         "representative_seed": representative,
         "perturb_node": config.perturb_node,
         "perturb_factor": config.perturb_factor if config.perturb_node is not None else None,
@@ -299,14 +248,14 @@ def _run_spectral(config: AnalysisConfig, graph, features) -> tuple:
         [list(cell.values()) for cell in cells],
     )
     ranking = ranked_table("spectral", spectral.sweep_end_scores(table))
-    return ranking, (csv,), None, {"deltas": list(table.deltas), "cells": cells}
+    return ranking, (csv,), {"deltas": list(table.deltas), "cells": cells}
 
 
 def _run_motifs(config: AnalysisConfig, graph, features) -> tuple:
     rows = [asdict(r) for r in motifs.motif_table(graph)]
     csv = _csv(["node", "w3", "w4", "w5", "w6", "total_cost"], [list(r.values()) for r in rows])
     table = ranked_table("motifs", [r["total_cost"] for r in rows])
-    return table, (csv,), None, {"rows": rows}
+    return table, (csv,), {"rows": rows}
 
 
 def _run_nstc(config: AnalysisConfig, graph, features) -> tuple:
@@ -320,13 +269,13 @@ def _run_nstc(config: AnalysisConfig, graph, features) -> tuple:
         ),
         _walk_csv(all_walks, graph.weights),
     )
-    return table, texts, all_walks, {"rows": [asdict(r) for r in rows], "walks": all_walks.rows()}
+    return table, texts, {"rows": [asdict(r) for r in rows]}
 
 
 # Run order. Each runner maps (config, graph, features) to its ranking, the
 # texts of its CSV files in `ARTIFACTS` order (a string, or an iterable of
-# pieces that formats them as it is written), the `Walks` whose rows its
-# summary fields hold as "walks" (or None), and those fields. It does no I/O.
+# pieces that formats them as it is written) and its summary fields. It does
+# no I/O.
 METHODS = {
     "attention": _run_attention,
     "spectral": _run_spectral,
@@ -346,15 +295,14 @@ def run(config: AnalysisConfig) -> dict:
     """Run the configured methods, write artifacts, and return the summary.
 
     Writes one set of CSV artifacts per method plus summary.json into the
-    output directory. The summary is self-contained: every number in the
-    per-method CSVs appears in it. Deterministic given the config.
+    output directory. Every number in the per-method CSVs appears in the
+    summary, except the walk rows of `walk_tree.csv`: the summary gives their
+    count per start node (`n_paths`), and the file alone lists them.
+    Deterministic given the config.
 
-    summary.json holds exactly `json.dumps(summary, indent=2, sort_keys=True)`.
-    The summary's nstc walk list is a list of (start, mid, end, w1, w2,
-    product) tuples, but the file's walk rows, like `walk_tree.csv`'s, are
-    formatted from the `Walks` columns in blocks (see `_summary_pieces`). The
-    file is streamed into a temporary file that then atomically replaces any
-    summary.json already there.
+    summary.json holds exactly `json.dumps(summary, indent=2, sort_keys=True)`,
+    written to a temporary file that then atomically replaces any summary.json
+    already there.
 
     A graph past the motif work bound (`motifs.check_size`) is refused before
     any method runs or any file is written. The CSVs are written only after every
@@ -374,13 +322,10 @@ def run(config: AnalysisConfig) -> dict:
     tables: dict[str, NodeScoreTable] = {}
     files: dict = {}
     method_summaries = {}
-    walk_columns = None
     for name, runner in METHODS.items():
         if name not in config.methods:
             continue
-        table, texts, method_walks, fields = runner(config, graph, features)
-        if method_walks is not None:
-            walk_columns = method_walks
+        table, texts, fields = runner(config, graph, features)
         tables[name] = table
         files.update(zip(ARTIFACTS[name], texts, strict=True))
         method_summaries[name] = {**fields, **_ranking(table)}
@@ -395,11 +340,11 @@ def run(config: AnalysisConfig) -> dict:
     for name in METHODS.keys() - tables.keys():
         for stale in ARTIFACTS[name]:
             (out / stale).unlink(missing_ok=True)
-    for name in list(files):  # each text is dropped once written, before the summary is encoded
+    for name in list(files):  # each text is dropped once written
         text = files.pop(name)
         with open(out / name, "w") as f:
             f.writelines([text] if isinstance(text, str) else text)
-    _write_summary(out / "summary.json", summary, walk_columns, graph.weights)
+    _write_summary(out / "summary.json", summary)
     return summary
 
 

@@ -74,12 +74,34 @@ class TestLoadModel:
             ("labels", [0.1, float("nan")]),
             ("labels", "ab"),
             ("labels", 0.5),
+            ("adjacency", [[0, "x"], [1, 0]]),
+            ("adjacency", [[0, 1], [1]]),  # ragged
+            ("features", [[1], [2, 3]]),
+            ("features", [[1], [{}]]),
         ],
     )
     def test_bad_labels_and_clusters_name_the_field(self, field, value):
         doc = {"n": 2, "adjacency": [[0, 1], [1, 0]], "features": [[1], [2]], field: value}
         with pytest.raises(MalformedModel, match=field):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [5, [[0.0]]])
+    def test_document_that_is_not_an_object(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedModel, match=f"must be a JSON object, got {type(doc).__name__}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_file_names_the_path(self, tmp_path, kind):
+        path = tmp_path / "model.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            doc = '{"n": 1, "adjacency": [[0]], "features": [[0]], "name": "\u00e9"}'
+            path.write_bytes(doc.encode("latin-1"))
+        with pytest.raises(MalformedModel, match=f"model file {str(path)!r} cannot be read"):
+            load_model(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MalformedModel):

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import tempfile
 from dataclasses import asdict, replace
@@ -27,7 +26,6 @@ from netinstab import report
 from netinstab.cli import main
 from netinstab.report import (
     _WALK_CHUNK_ROWS,
-    _WALKS_PLACEHOLDER,
     CONVERGENCE_LOSS,
     MAX_DELTA_POINTS,
     _csv,
@@ -39,7 +37,7 @@ from netinstab.report import (
 from netinstab.walks import WALK_COLUMNS, all_walks
 from conftest import random_signed_digraph_weights
 from test_agcn import sequential_train
-from test_walks import extreme_digraphs, signed_digraphs
+from test_walks import extreme_digraphs
 
 
 def write_model(path, weights):
@@ -260,9 +258,8 @@ class TestRun:
         assert len(read_csv(tmp_path / "motif_costs.csv")[1]) == 24
 
     def test_summary_contains_every_csv_number(self, tmp_path):
-        config = AnalysisConfig(
-            methods=("spectral", "motifs", "nstc"), output_dir=str(tmp_path)
-        )
+        config = AnalysisConfig(output_dir=str(tmp_path), iterations=40)
+        assert set(config.methods) == set(report.METHODS)
         summary = run(config)
 
         def close_to_some(x, pool):
@@ -270,12 +267,19 @@ class TestRun:
             return any(v is not None and abs(v - x) <= 6e-6 * max(1, abs(x)) for v in pool)
 
         m = summary["methods"]
+        attention = m["attention"]
+        losses = attention["seeds"][str(attention["representative_seed"])]["loss_history"]
+        nodes = [float(k) for k in range(summary["n"])]  # a row's node is its list index
         pools = {
+            "loss_history.csv": losses + [float(i) for i in range(len(losses))],  # iteration = index
+            "alpha.csv": [v for row in attention["alpha"] for v in row],
+            "attention_scores.csv": attention["scores"]
+            + [float(v) for v in attention["ranks"]]
+            + nodes,
             "nstc.csv": [r["nstc"] for r in m["nstc"]["rows"]]
             + [float(r["n_paths"]) for r in m["nstc"]["rows"]]
             + [float(r["node"]) for r in m["nstc"]["rows"]]
             + [float(v) for v in m["nstc"]["ranks"]],
-            "walk_tree.csv": [v for w in m["nstc"]["walks"] for v in w],
             "motif_costs.csv": [
                 r[k] for r in m["motifs"]["rows"] for k in ("w3", "w4", "w5", "w6", "total_cost")
             ]
@@ -284,8 +288,10 @@ class TestRun:
             + [c["delta"] for c in m["spectral"]["cells"]]
             + [float(c["node"]) for c in m["spectral"]["cells"]],
         }
+        assert set(pools) | {"walk_tree.csv"} == {f for files in report.ARTIFACTS.values() for f in files}
         for name, pool in pools.items():
             _, rows = read_csv(tmp_path / name)
+            assert rows, name
             for row in rows:
                 for cell in row:
                     try:
@@ -293,6 +299,9 @@ class TestRun:
                     except ValueError:
                         continue
                     assert close_to_some(x, pool), (name, cell)
+        # the walks are the one exception: the summary counts them per start node
+        _, walk_rows = read_csv(tmp_path / "walk_tree.csv")
+        assert len(walk_rows) == sum(r["n_paths"] for r in m["nstc"]["rows"])
 
     def test_concordance_in_summary(self, tmp_path):
         config = AnalysisConfig(methods=("motifs", "nstc"), output_dir=str(tmp_path))
@@ -366,103 +375,32 @@ class TestRun:
         assert report.pairs["motifs|nstc"].top_k_jaccard == 1.0
 
 
-FLOAT_EDGES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.2e-308, 1e-310, -1e300]
-numbers = st.one_of(
-    st.sampled_from(FLOAT_EDGES), st.floats(allow_nan=True, allow_infinity=True), st.integers()
-)
-output_dirs = st.one_of(
-    st.text(max_size=8),
-    st.just(_WALKS_PLACEHOLDER),  # encodes to the very token that marks the walk list
-    st.builds(lambda a, b: a + _WALKS_PLACEHOLDER + b, st.text(max_size=3), st.text(max_size=3)),
-)
-
-
-def nstc_summary(walks, output_dir="out", **fields) -> dict:
-    """A summary shaped like `run`'s, whose nstc walk list holds the rows of `walks`."""
-    nstc = {"rows": [{"node": 0, "n_paths": 1, "nstc": 1.0}], **fields, "walks": walks.rows()}
-    return {"config": {"output_dir": output_dir, "top_k": 2}, "n": 3, "methods": {"nstc": nstc}}
-
-
-@st.composite
-def summaries(draw):
-    """(summary, walks, weights): a summary whose walk list is the rows of a graph's `Walks`."""
-    graph = draw(signed_digraphs() | extreme_digraphs())
-    walks = all_walks(graph)
-    summary = nstc_summary(walks, draw(output_dirs), scores=draw(st.lists(numbers, max_size=3)))
-    if draw(st.booleans()):
-        summary["methods"]["motifs"] = {
-            "rows": draw(st.lists(st.dictionaries(st.sampled_from("ab"), numbers), max_size=3))
-        }
-    return summary, walks, graph.weights
-
-
 class TestSummaryWriter:
-    def write(self, summary, walks=None, weights=None) -> bytes:
-        with tempfile.TemporaryDirectory() as d:
-            path = Path(d) / "summary.json"
-            _write_summary(path, summary, walks, weights)
-            assert os.listdir(d) == ["summary.json"]
-            return path.read_bytes()
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        path.write_text("old")
+        with mock.patch("netinstab.report.os.replace", side_effect=OSError("disk full")):
+            with pytest.raises(OSError, match="disk full"):
+                _write_summary(path, {"n": 1})
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["summary.json"]
 
-    @given(drawn=summaries(), chunk_rows=st.integers(1, 5))
-    @settings(max_examples=200, deadline=None)
-    def test_bytes_equal_indented_dumps(self, drawn, chunk_rows):
-        summary, walks, weights = drawn
-        expected = json.dumps(summary, indent=2, sort_keys=True).encode()
-        with mock.patch("netinstab.report._WALK_CHUNK_ROWS", chunk_rows):
-            assert self.write(summary, walks, weights) == expected
-
-    def test_several_default_chunks(self):
+    def test_several_default_chunks(self, tmp_path):
         rng = np.random.default_rng(5)
         graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, 30, density=1.0))
         walks = all_walks(graph)
         assert len(walks) > 4 * _WALK_CHUNK_ROWS
-        summary = nstc_summary(walks)
-        expected = json.dumps(summary, indent=2, sort_keys=True).encode()
-        assert self.write(summary, walks, graph.weights) == expected
+        model = write_model(tmp_path / "model.json", graph.weights)
+        summary = run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(tmp_path)))
+        assert (tmp_path / "walk_tree.csv").read_text() == _csv(list(WALK_COLUMNS), walks.rows())
+        expected = json.dumps(summary, indent=2, sort_keys=True)
+        assert (tmp_path / "summary.json").read_text() == expected
 
-    @pytest.mark.parametrize("chunk_rows", [1, 4, 6])
-    def test_nonfinite_products_encode_as_json_does(self, chunk_rows):
-        graph = SignedWeightedDigraph(weights=np.ones((3, 3)))  # six walks
-        product = np.array([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.5])
-        walks = replace(all_walks(graph), product=product)
-        summary = nstc_summary(walks)
-        with mock.patch("netinstab.report._WALK_CHUNK_ROWS", chunk_rows):
-            text = self.write(summary, walks, graph.weights).decode()
-        assert text == json.dumps(summary, indent=2, sort_keys=True)
-        assert "Infinity" in text and "NaN" in text and "inf" not in text.replace("Infinity", "")
-
-    def test_failed_write_leaves_the_old_file(self, tmp_path):
-        path = tmp_path / "summary.json"
-        path.write_text("old")
-        graph = SignedWeightedDigraph(weights=np.ones((20, 20)))  # 6,840 walks: several blocks
-        walks = all_walks(graph)
-        written, blocks = [], report._walk_row_blocks
-
-        def second_block_fails(*args):
-            for rows in blocks(*args):
-                if written:
-                    raise OSError("disk full")
-                written.append(len(rows))
-                yield rows
-
-        with mock.patch("netinstab.report._walk_row_blocks", second_block_fails):
-            with pytest.raises(OSError, match="disk full"):
-                _write_summary(path, nstc_summary(walks), walks, graph.weights)
-        assert written == [_WALK_CHUNK_ROWS]  # the first block went to the temporary file
-        assert path.read_text() == "old"
-        assert os.listdir(tmp_path) == ["summary.json"]
-
-    @given(
-        graph=extreme_digraphs(),
-        chunk_rows=st.integers(1, 5),
-        # the second name puts the walk list's token in the config, which takes the one-call form
-        name=st.sampled_from(["out", 'q"' + _WALKS_PLACEHOLDER, _WALKS_PLACEHOLDER]),
-    )
+    @given(graph=extreme_digraphs(), chunk_rows=st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
-    def test_run_writes_the_returned_summary_and_walk_rows(self, graph, chunk_rows, name):
+    def test_run_writes_the_returned_summary_and_walk_rows(self, graph, chunk_rows):
         with tempfile.TemporaryDirectory() as d, mock.patch("netinstab.report._WALK_CHUNK_ROWS", chunk_rows):
-            out = Path(d) / name
+            out = Path(d) / "out"
             model = write_model(Path(d) / "model.json", graph.weights)
             try:
                 summary = run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(out)))
@@ -470,11 +408,14 @@ class TestSummaryWriter:
                 assert os.listdir(out) == []
                 return
             walks = all_walks(graph)
-            assert np.isfinite(walks.product).all()
-            assert summary["methods"]["nstc"]["walks"] == walks.rows()
             assert (out / "walk_tree.csv").read_text() == _csv(list(WALK_COLUMNS), walks.rows())
             expected = json.dumps(summary, indent=2, sort_keys=True).encode()
             assert (out / "summary.json").read_bytes() == expected
+
+    def test_summary_holds_no_walk_rows(self, tmp_path):
+        summary = run(AnalysisConfig(methods=("nstc",), output_dir=str(tmp_path)))
+        assert "walks" not in summary["methods"]["nstc"]
+        assert "walks" not in json.loads((tmp_path / "summary.json").read_text())["methods"]["nstc"]
 
 
 class TestCli:
@@ -556,6 +497,29 @@ class TestCli:
     def test_missing_summary_fails(self, tmp_path, capsys):
         code = main(["concordance", "--summary", str(tmp_path / "none.json")])
         assert code != 0
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_summary_fails_with_diagnostic(self, tmp_path, capsys, kind):
+        path = tmp_path / "summary.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"methods": "\xff"}')
+        assert main(["concordance", "--summary", str(path)]) == 1
+        assert f"summary file {str(path)!r} cannot be read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        ["5", '{"n": 1, "adjacency": [["x"]], "features": [[1.0]]}'],
+        ids=["not an object", "non-numeric adjacency"],
+    )
+    def test_malformed_model_fails_with_diagnostic(self, tmp_path, capsys, doc):
+        model = tmp_path / "model.json"
+        model.write_text(doc)
+        out = tmp_path / "out"
+        assert main(["analyze", "--model", str(model), "--method", "nstc", "--out", str(out)]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_summary_fails_with_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "summary.json"
