@@ -40,13 +40,12 @@ differently and moves alpha by up to 2.8e-16.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParameter, DivergedTraining
+from .errors import BadParameter, DivergedTraining, whole_number
 from .graph import FeatureMatrix, SignedWeightedDigraph
 from .scores import NodeScoreTable, ranked_table
 
@@ -59,17 +58,25 @@ class AgcnHyperparams:
     leaky_slope: float = 0.01
     learning_rate: float = 0.5
     iterations: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.leaky_slope < 1.0):
             raise BadParameter(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise BadParameter(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.iterations < 1:
-            raise BadParameter(f"iterations must be >= 1, got {self.iterations}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise BadParameter(f"seed must be a non-negative integer, got {self.seed!r}")
+        whole_number(self.iterations, "iterations", 1)
+
+
+def check_seeds(seeds: Iterable[int]) -> list[int]:
+    """`seeds` as a list, if it is a non-empty list of distinct non-negative integers."""
+    seeds = list(seeds)
+    if not seeds:
+        raise BadParameter("seeds must not be empty")
+    for seed in seeds:
+        whole_number(seed, "seed", 0)
+    if len(set(seeds)) != len(seeds):  # a repeat would train twice and keep one
+        raise BadParameter(f"seeds must not repeat, got {seeds}")
+    return seeds
 
 
 @dataclass(frozen=True)
@@ -195,12 +202,13 @@ def train(
     features: FeatureMatrix,
     targets,
     hyper: AgcnHyperparams,
+    seed: int = 0,
 ) -> AgcnState:
     """Fit the attention and convolution weights to per-node targets.
 
-    Both parameter blocks start uniform in [-INIT_RANGE, +INIT_RANGE] from the
-    seed. Each iteration runs the full forward pass at the current parameters,
-    records the mean squared error, then applies the two updates:
+    Both parameter blocks start uniform in [-INIT_RANGE, +INIT_RANGE] from
+    `seed`. Each iteration runs the full forward pass at the current
+    parameters, records the mean squared error, then applies the two updates:
 
     * convolution: w += mu * ((err^T (M_X * (1 - M_X)))^T) with
       M_X = (A_hat * alpha) X, err = targets - prediction;
@@ -218,7 +226,7 @@ def train(
     they are for each seed of a batch, so a seed trained here or in a batch
     gives the same bits (see the module docstring).
     """
-    return train_seeds(graph, features, targets, hyper, [hyper.seed])[0]
+    return train_seeds(graph, features, targets, hyper, [seed])[0]
 
 
 def train_seeds(
@@ -230,20 +238,16 @@ def train_seeds(
 ) -> list[AgcnState]:
     """`train` with `hyper` for each of `seeds`, stacked; states in that order.
 
-    `hyper.seed` is not used. Each state is bit for bit the one `train` gives
-    for its seed alone (see the module docstring). The seeds train in blocks
-    whose largest stacked array stays under about BLOCK_BYTES, so memory does
-    not grow with the number of seeds on large graphs. If seeds diverge,
-    `DivergedTraining` names the first of them in the given order, with its
+    `seeds` must pass `check_seeds`. Each state is bit for bit the one `train`
+    gives for its seed alone (see the module docstring). The seeds train in
+    blocks whose largest stacked array stays under about BLOCK_BYTES, so
+    memory does not grow with the number of seeds on large graphs. If seeds
+    diverge, `DivergedTraining` names the first in the given order, with its
     iteration, as training the seeds one after another would. A block is
     checked only after all its iterations, so a seed that diverges early
     still runs to the end on non-finite values with the rest of its block.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise BadParameter("seeds must not be empty")
-    for seed in seeds:
-        replace(hyper, seed=seed)  # checks the seed as AgcnHyperparams does
+    seeds = check_seeds(seeds)
     x = features.values
     n, f = x.shape
     if n != graph.n:
@@ -316,8 +320,7 @@ def _train_block(a_hat, pairs, y_prime, x, y_target, hyper: AgcnHyperparams, see
 def perturb_features(features: FeatureMatrix, node: int, factor: float = 2.0) -> FeatureMatrix:
     """Copy of the feature table with one node's feature row multiplied by factor."""
     x = features.values.copy()
-    if not (0 <= node < x.shape[0]):
-        raise BadParameter(f"perturb node {node} outside feature table with {x.shape[0]} rows")
+    whole_number(node, "perturb node", 0, x.shape[0] - 1)
     x[node, :] *= factor
     return FeatureMatrix(values=x)
 

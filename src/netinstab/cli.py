@@ -11,10 +11,9 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from .errors import BadParameter, NetinstabError
-from .graph import VARIANTS
+from .graph import VARIANTS, read_json
 from .report import METHODS, AnalysisConfig, concordance_from_summary, run
 
 
@@ -67,13 +66,7 @@ def main(argv=None) -> int:
             run(config)
             print(f"wrote artifacts to {config.output_dir}")
             return 0
-        summary_path = Path(args.summary)
-        try:
-            summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
-            raise BadParameter(f"summary file {str(summary_path)!r} cannot be read: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise BadParameter(f"summary file is not valid JSON: {exc}") from exc
+        summary = read_json(args.summary, "summary", BadParameter)
         report = concordance_from_summary(summary, args.top_k)
         print(json.dumps(asdict(report), indent=2, sort_keys=True))
         return 0

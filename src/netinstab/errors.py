@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the whole-number rule for input."""
+import numbers
 
 
 class NetinstabError(Exception):
@@ -42,3 +43,13 @@ class DivergedTraining(NetinstabError):
         self.iteration = iteration
         self.seed = seed
         super().__init__(f"training with seed {seed}: loss became non-finite at iteration {iteration}")
+
+
+def whole_number(value, name: str, low: int, high: int | None = None, error=BadParameter):
+    """`value` if it is an integer from `low` to `high` (None: no upper bound), else raise
+    `error` naming `name`. `bool` is refused, so `true` in a JSON file is not read as 1."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"from {low} to {high}"
+        raise error(f"{name} must be an integer {bound}, got {value!r}")
+    return value

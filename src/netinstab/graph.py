@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadNode, BadParameter, MalformedModel
+from .errors import BadNode, BadParameter, MalformedModel, whole_number
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 _FIXTURE_ALIAS = "piezo"
@@ -103,17 +103,22 @@ def load_model(source, variant: str = "appendix") -> tuple[SignedWeightedDigraph
     if variant not in VARIANTS:
         raise BadParameter(f"variant must be one of {VARIANTS}, got {variant!r}")
     alias = str(source) == _FIXTURE_ALIAS
-    path = fixture_path() if alias else Path(source)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
-        raise MalformedModel(f"model file {str(path)!r} cannot be read: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedModel(f"model file is not valid JSON: {exc}") from exc
+    doc = read_json(fixture_path() if alias else source, "model", MalformedModel)
     if alias and variant == "printed":
         i, j = _PRINTED_SIGN_FLIP
         doc["adjacency"][i][j] = -doc["adjacency"][i][j]
     return model_from_dict(doc)
+
+
+def read_json(path, what: str, error):
+    """The JSON document in file `path`; `error` names the `what` file it cannot read or parse."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
+        raise error(f"{what} file {str(path)!r} cannot be read: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise error(f"{what} file is not valid JSON: {exc}") from exc
 
 
 def model_from_dict(doc: dict) -> tuple[SignedWeightedDigraph, FeatureMatrix]:
@@ -123,9 +128,7 @@ def model_from_dict(doc: dict) -> tuple[SignedWeightedDigraph, FeatureMatrix]:
     for key in ("n", "adjacency", "features"):
         if key not in doc:
             raise MalformedModel(f"model document is missing field {key!r}")
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise MalformedModel(f"field 'n' must be a positive integer, got {n!r}")
+    n = whole_number(doc["n"], "field 'n'", 1, error=MalformedModel)
     adj = _number_table(doc, "adjacency")
     if adj.shape != (n, n):
         raise MalformedModel(f"adjacency must be {n}x{n}, got shape {adj.shape}")
@@ -185,5 +188,4 @@ def perturb_column(graph: SignedWeightedDigraph, node: int, delta: float) -> Sig
 
 
 def _check_node(graph: SignedWeightedDigraph, node: int) -> None:
-    if not (isinstance(node, (int, np.integer)) and 0 <= node < graph.n):
-        raise BadNode(f"node index {node!r} outside graph with n={graph.n}")
+    whole_number(node, "node index", 0, graph.n - 1, BadNode)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import agcn, motifs, spectral, walks
-from .errors import BadParameter
+from .errors import BadParameter, whole_number
 from .graph import load_model
 from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 from .walks import WALK_COLUMNS, Walks
@@ -63,46 +63,36 @@ class AnalysisConfig:
                 raise BadParameter(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta_step <= 0:
             raise BadParameter(f"delta_step must be > 0, got {self.delta_step}")
-        if (self.delta_max - self.delta_min) / self.delta_step + 1 > MAX_DELTA_POINTS:
-            raise BadParameter(
-                f"delta_step={self.delta_step} from delta_min={self.delta_min} to "
-                f"delta_max={self.delta_max} gives more than {MAX_DELTA_POINTS} grid points"
-            )
         self.delta_grid()
-        if self.top_k < 1:
-            raise BadParameter(f"top_k must be >= 1, got {self.top_k}")
-        if not self.seeds:
-            raise BadParameter("seeds must not be empty")
+        whole_number(self.top_k, "top_k", 1)
         if not math.isfinite(self.perturb_factor):
             raise BadParameter(f"perturb_factor must be finite, got {self.perturb_factor}")
-        for seed in self.seeds:  # refuse bad training settings before anything runs
-            self.hyperparams(seed)
-        if len(set(self.seeds)) != len(self.seeds):  # a repeat would train twice and keep one
-            raise BadParameter(f"seeds must not repeat, got {list(self.seeds)}")
+        agcn.check_seeds(self.seeds)  # refuse bad training settings before anything runs
+        self.hyperparams()
 
     def delta_grid(self) -> list[float]:
-        """The sweep's perturbation sizes, from delta_min to delta_max in delta_step steps."""
+        """The sweep's perturbation sizes, from delta_min to delta_max in delta_step
+        steps; a grid of more than MAX_DELTA_POINTS is refused at its next point."""
         grid = []
-        k = 0
-        while True:
-            d = self.delta_min + k * self.delta_step
-            if d > self.delta_max + 1e-12:
-                break
+        while (d := self.delta_min + len(grid) * self.delta_step) <= self.delta_max + 1e-12:
+            if len(grid) == MAX_DELTA_POINTS:
+                raise BadParameter(
+                    f"delta_step={self.delta_step} from delta_min={self.delta_min} to "
+                    f"delta_max={self.delta_max} gives more than {MAX_DELTA_POINTS} grid points"
+                )
             grid.append(round(d, 12))
-            k += 1
         if not grid:
             raise BadParameter(
                 f"empty delta grid: delta_min={self.delta_min} delta_max={self.delta_max}"
             )
         return grid
 
-    def hyperparams(self, seed: int) -> agcn.AgcnHyperparams:
-        """The training settings for one of `seeds`."""
+    def hyperparams(self) -> agcn.AgcnHyperparams:
+        """The training settings shared by all of `seeds`."""
         return agcn.AgcnHyperparams(
             leaky_slope=self.leaky_slope,
             learning_rate=self.learning_rate,
             iterations=self.iterations,
-            seed=seed,
         )
 
 
@@ -121,8 +111,7 @@ class ConcordanceReport:
 
 def concordance(tables: dict[str, NodeScoreTable], top_k: int) -> ConcordanceReport:
     """Pairwise top-k Jaccard and Spearman rank agreement between rankings."""
-    if top_k < 1:
-        raise BadParameter(f"top_k must be >= 1, got {top_k}")
+    whole_number(top_k, "top_k", 1)
     sizes = {name: t.n for name, t in tables.items()}
     if len(set(sizes.values())) > 1:
         raise BadParameter(f"tables cover different node sets: {sizes}")
@@ -206,8 +195,7 @@ def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
         raise BadParameter("model has no 'labels' field; the attention method needs targets")
     if config.perturb_node is not None:
         features = agcn.perturb_features(features, config.perturb_node, config.perturb_factor)
-    hyper = config.hyperparams(config.seeds[0])
-    trained = agcn.train_seeds(graph, features, graph.node_labels, hyper, config.seeds)
+    trained = agcn.train_seeds(graph, features, graph.node_labels, config.hyperparams(), config.seeds)
     states = dict(zip(config.seeds, trained))
     tables = {seed: agcn.node_attention_scores(state.alpha) for seed, state in states.items()}
     converged = {seed: state.final_loss <= CONVERGENCE_LOSS for seed, state in states.items()}
@@ -304,13 +292,16 @@ def run(config: AnalysisConfig) -> dict:
     written to a temporary file that then atomically replaces any summary.json
     already there.
 
-    A graph past the motif work bound (`motifs.check_size`) is refused before
-    any method runs or any file is written. The CSVs are written only after every
-    selected method has succeeded, so a run that raises writes none. A run
+    A `perturb_node` outside the graph and a graph past the motif work bound
+    (`motifs.check_size`) are refused before any method runs or any file or
+    directory is written. The CSVs are written only after every selected
+    method has succeeded, so a run that raises writes none. A run
     that succeeds also removes the CSVs of the methods it did not run (and no
     other file), so no CSV of an earlier run outlives its summary.
     """
     graph, features = load_model(config.model_path, config.variant)
+    if config.perturb_node is not None:
+        whole_number(config.perturb_node, "perturb_node", 0, graph.n - 1)
     if "motifs" in config.methods:
         motifs.check_size(graph)
     out = Path(config.output_dir)
@@ -365,7 +356,8 @@ def tables_from_summary(summary: dict) -> dict[str, NodeScoreTable]:
         if "scores" in data:
             scores = data["scores"]
             if not isinstance(scores, list) or not all(
-                s is None or isinstance(s, (int, float)) for s in scores
+                s is None or (isinstance(s, (int, float)) and not isinstance(s, bool))
+                for s in scores
             ):
                 raise BadParameter(
                     f"summary field 'methods.{name}.scores' must be a list of numbers or nulls"
@@ -381,6 +373,5 @@ def concordance_from_summary(summary: dict, top_k: int | None = None) -> Concord
         raise BadParameter("summary holds fewer than two method score tables")
     if top_k is None:
         top_k = _json_object(summary.get("config", {}), "field 'config'").get("top_k", 2)
-        if not isinstance(top_k, int):
-            raise BadParameter(f"summary field 'config.top_k' must be an integer, got {top_k!r}")
+        whole_number(top_k, "summary field 'config.top_k'", 1)
     return concordance(tables, top_k)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter
+from .errors import BadParameter, whole_number
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,7 @@ def spearman_rho(a: NodeScoreTable, b: NodeScoreTable) -> float:
 
 def top_k_jaccard(a: NodeScoreTable, b: NodeScoreTable, k: int) -> float:
     """Jaccard overlap of the two tables' top-k node sets."""
-    if k < 1:
-        raise BadParameter(f"top_k must be >= 1, got {k}")
+    whole_number(k, "top_k", 1)
     sa, sb = a.top(k), b.top(k)
     union = sa | sb
     return len(sa & sb) / len(union) if union else 1.0

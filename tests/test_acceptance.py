@@ -66,7 +66,7 @@ def trained_runs(piezo_model):
     runs = {}
     for name, feats in scenarios.items():
         for seed in SEEDS:
-            state = train(graph, feats, graph.node_labels, AgcnHyperparams(seed=seed))
+            state = train(graph, feats, graph.node_labels, AgcnHyperparams(), seed)
             runs[(name, seed)] = state
     return runs
 
@@ -312,7 +312,7 @@ def test_criterion_8_invariance_suites(piezo_model, trained_runs):
     )
 
     # zero learning rate leaves parameters exactly at their seeded initialization
-    zero = train(graph, features, graph.node_labels, AgcnHyperparams(seed=4, iterations=10, learning_rate=0.0))
+    zero = train(graph, features, graph.node_labels, AgcnHyperparams(iterations=10, learning_rate=0.0), 4)
     r = np.random.default_rng(4)
     checks["zero_step_noop"] = np.array_equal(
         zero.w_att, r.uniform(-0.5, 0.5, 6)

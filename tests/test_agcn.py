@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -51,7 +51,7 @@ def _one_seed_forward(a_hat, alpha, x, w, slope):
     return y_pp, masked
 
 
-def sequential_train(graph, features, targets, hyper):
+def sequential_train(graph, features, targets, hyper, seed):
     """Train one seed with no seed axis: the oracle for `train_seeds`.
 
     The same updates as `agcn.train_seeds`, with its own forward pass and
@@ -63,7 +63,7 @@ def sequential_train(graph, features, targets, hyper):
     y_target = np.asarray(targets, dtype=float).reshape(-1, 1)
     mu = hyper.learning_rate
 
-    rng = np.random.default_rng(hyper.seed)
+    rng = np.random.default_rng(seed)
     w_att = rng.uniform(-INIT_RANGE, INIT_RANGE, size=2 * f)
     w = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(f, 1))
 
@@ -81,7 +81,7 @@ def sequential_train(graph, features, targets, hyper):
             err = y_target - y_pp
             loss = float((err**2).mean())
             if not np.isfinite(loss):
-                raise DivergedTraining(iteration, hyper.seed)
+                raise DivergedTraining(iteration, seed)
             losses.append(loss)
 
             m_x = masked @ x
@@ -94,7 +94,7 @@ def sequential_train(graph, features, targets, hyper):
         y_pp, _ = _one_seed_forward(a_hat, alpha, x, w, hyper.leaky_slope)
         final_loss = float(((y_target - y_pp) ** 2).mean())
     if not np.isfinite(final_loss):
-        raise DivergedTraining(hyper.iterations, hyper.seed)
+        raise DivergedTraining(hyper.iterations, seed)
     return AgcnState(
         w_att=w_att,
         w=w,
@@ -115,7 +115,7 @@ def assert_same_states(got, want):
 def assert_trains_like_the_oracle(graph, features, targets, hyper, seeds):
     """`train_seeds` gives the oracle's states `==`, or raises as it does."""
     try:
-        expected = [sequential_train(graph, features, targets, replace(hyper, seed=s)) for s in seeds]
+        expected = [sequential_train(graph, features, targets, hyper, s) for s in seeds]
     except DivergedTraining as oracle:
         with pytest.raises(DivergedTraining) as info:
             train_seeds(graph, features, targets, hyper, seeds)
@@ -308,8 +308,8 @@ class TestForward:
 class TestTrain:
     def test_zero_learning_rate_is_exact_noop(self, piezo):
         graph, features = piezo
-        hyper = AgcnHyperparams(seed=3, iterations=20, learning_rate=0.0)
-        state = train(graph, features, graph.node_labels, hyper)
+        hyper = AgcnHyperparams(iterations=20, learning_rate=0.0)
+        state = train(graph, features, graph.node_labels, hyper, 3)
         rng = np.random.default_rng(3)
         w_att0 = rng.uniform(-0.5, 0.5, 6)
         w0 = rng.uniform(-0.5, 0.5, (3, 1))
@@ -319,14 +319,14 @@ class TestTrain:
 
     def test_loss_history_length(self, piezo):
         graph, features = piezo
-        state = train(graph, features, graph.node_labels, AgcnHyperparams(seed=0, iterations=40))
+        state = train(graph, features, graph.node_labels, AgcnHyperparams(iterations=40))
         assert len(state.loss_history) == 40
 
     def test_deterministic_per_seed(self, piezo):
         graph, features = piezo
-        hyper = AgcnHyperparams(seed=11, iterations=30)
-        a = train(graph, features, graph.node_labels, hyper)
-        b = train(graph, features, graph.node_labels, hyper)
+        hyper = AgcnHyperparams(iterations=30)
+        a = train(graph, features, graph.node_labels, hyper, 11)
+        b = train(graph, features, graph.node_labels, hyper, 11)
         assert np.array_equal(a.w_att, b.w_att)
         assert np.array_equal(a.w, b.w)
         assert a.loss_history == b.loss_history
@@ -335,7 +335,7 @@ class TestTrain:
         # a step size at float range overflows the convolution weights within
         # a few iterations; the non-finite loss must surface as an exception
         graph, features = piezo
-        hyper = AgcnHyperparams(seed=0, iterations=200, learning_rate=1e308)
+        hyper = AgcnHyperparams(iterations=200, learning_rate=1e308)
         with pytest.raises(DivergedTraining, match="seed 0") as info:
             train(graph, features, graph.node_labels, hyper)
         assert 0 <= info.value.iteration <= 200
@@ -343,7 +343,7 @@ class TestTrain:
 
     def test_default_training_converges_and_separates(self, piezo):
         graph, features = piezo
-        state = train(graph, features, graph.node_labels, AgcnHyperparams(seed=0))
+        state = train(graph, features, graph.node_labels, AgcnHyperparams())
         assert state.final_loss < state.loss_history[0]
         assert state.final_loss <= 0.005
         pred = state.y_pp[:, 0]
@@ -355,8 +355,11 @@ class TestTrain:
         perturbed = perturb_features(features, 0, 2.0)
         assert np.allclose(perturbed.values[0], 2 * features.values[0])
         assert np.allclose(perturbed.values[1:], features.values[1:])
-        state = train(graph, perturbed, graph.node_labels, AgcnHyperparams(seed=0))
+        state = train(graph, perturbed, graph.node_labels, AgcnHyperparams())
         assert state.final_loss <= 0.005
+        for node in (8, -1, True, 1.5):
+            with pytest.raises(BadParameter, match="perturb node must be an integer from 0 to 7"):
+                perturb_features(features, node)
 
     def test_target_length_mismatch(self, piezo):
         graph, features = piezo
@@ -376,8 +379,7 @@ class TestTrain:
         [
             ("learning_rate", float("nan")),
             ("learning_rate", float("inf")),
-            ("seed", -1),
-            ("seed", 0.5),
+            ("iterations", 2.5),
         ],
     )
     def test_bad_hyperparams_name_the_field(self, field, value):
@@ -463,7 +465,7 @@ class TestTrainSeeds:
         assert (info.value.seed, info.value.iteration) == expected
         assert_trains_like_the_oracle(graph, features, targets, hyper, seeds)
 
-    @pytest.mark.parametrize("seeds", [[], [0, -1], [0.5]])
+    @pytest.mark.parametrize("seeds", [[], [0, -1], [0.5], [True], [1, 1]])
     def test_bad_seeds(self, piezo, seeds):
         graph, features = piezo
         with pytest.raises(BadParameter, match="seed"):
@@ -488,5 +490,5 @@ class TestAttentionScores:
 
     def test_trained_piezo_flags_nodes_2_and_6(self, piezo):
         graph, features = piezo
-        state = train(graph, features, graph.node_labels, AgcnHyperparams(seed=0))
+        state = train(graph, features, graph.node_labels, AgcnHyperparams())
         assert sorted(node_attention_scores(state.alpha).top(2)) == [2, 6]

@@ -92,6 +92,21 @@ class TestLoadModel:
         with pytest.raises(MalformedModel, match=f"must be a JSON object, got {type(doc).__name__}"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": true, "adjacency": [[0.5]], "features": [[1]]}', "field 'n' must be an integer"),
+            ('{"n": 1.0, "adjacency": [[0.5]], "features": [[1]]}', "field 'n' must be an integer"),
+            ("[" * 200_000, "model file is not valid JSON"),
+        ],
+        ids=["n is true", "n is a float", "deeply nested"],
+    )
+    def test_malformed_file_names_the_problem(self, tmp_path, text, message):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(MalformedModel, match=message):
+            load_model(path)
+
     @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
     def test_unreadable_file_names_the_path(self, tmp_path, kind):
         path = tmp_path / "model.json"
@@ -153,10 +168,9 @@ class TestTotalDegree:
         assert total_degree(graph, 0) == 2
 
     def test_out_of_range(self, piezo):
-        with pytest.raises(BadNode):
-            total_degree(piezo[0], 8)
-        with pytest.raises(BadNode):
-            total_degree(piezo[0], -1)
+        for node in (8, -1, True, 1.5):
+            with pytest.raises(BadNode, match="node index must be an integer from 0 to 7"):
+                total_degree(piezo[0], node)
 
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -187,8 +201,9 @@ class TestPerturbColumn:
         assert np.array_equal(piezo[0].weights, before)
 
     def test_out_of_range(self, piezo):
-        with pytest.raises(BadNode):
-            perturb_column(piezo[0], 99, 0.5)
+        for node in (99, True, 1.5):
+            with pytest.raises(BadNode, match="node index"):
+                perturb_column(piezo[0], node, 0.5)
 
     def test_nonfinite_delta(self, piezo):
         with pytest.raises(BadParameter):

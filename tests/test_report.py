@@ -114,8 +114,9 @@ class TestConfig:
             AnalysisConfig(delta_step=0.0)
 
     def test_bad_top_k_rejected(self):
-        with pytest.raises(BadParameter):
-            AnalysisConfig(top_k=0)
+        for top_k in (0, True, 1.5):
+            with pytest.raises(BadParameter, match="top_k"):
+                AnalysisConfig(top_k=top_k)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -148,8 +149,12 @@ class TestConfig:
             AnalysisConfig(**{field: value})
 
     def test_grid_at_the_point_cap_accepted(self):
-        config = AnalysisConfig(delta_min=0.0, delta_max=999.0, delta_step=1.0)
-        assert len(config.delta_grid()) == MAX_DELTA_POINTS
+        # the cap counts the grid's points, with the grid's own end tolerance
+        for delta_max in (999.0, 999.0000000000001):
+            config = AnalysisConfig(delta_min=0.0, delta_max=delta_max, delta_step=1.0)
+            assert len(config.delta_grid()) == MAX_DELTA_POINTS
+        with pytest.raises(BadParameter, match=f"more than {MAX_DELTA_POINTS} grid points"):
+            AnalysisConfig(delta_min=0.0, delta_max=1000.0, delta_step=1.0)
 
     def test_empty_grid_rejected_before_running(self):
         with pytest.raises(BadParameter, match="empty delta grid: delta_min=3"):
@@ -234,6 +239,17 @@ class TestRun:
         out = tmp_path / "out"
         config = AnalysisConfig(model_path=model, methods=("spectral", "motifs"), output_dir=str(out))
         with pytest.raises(TooLarge, match=r"motifs method .* work bound for n=48 is .* cap of 256 MiB"):
+            run(config)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "methods, node",
+        [(("attention",), 8), (("attention",), 1.5), (("nstc",), -1), (("nstc",), 99), (("nstc",), True)],
+    )
+    def test_perturb_node_outside_the_graph_refused_before_any_file(self, tmp_path, methods, node):
+        out = tmp_path / "out"
+        config = AnalysisConfig(methods=methods, output_dir=str(out), perturb_node=node)
+        with pytest.raises(BadParameter, match="perturb_node must be an integer from 0 to 7"):
             run(config)
         assert not out.exists()
 
@@ -326,7 +342,7 @@ class TestRun:
         config = AnalysisConfig(methods=("attention",), output_dir=str(tmp_path), seeds=seeds)
         attention = run(config)["methods"]["attention"]
         states = {
-            seed: sequential_train(graph, features, graph.node_labels, AgcnHyperparams(seed=seed))
+            seed: sequential_train(graph, features, graph.node_labels, AgcnHyperparams(), seed)
             for seed in seeds
         }
         expected_seeds = {}
@@ -510,8 +526,13 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "doc",
-        ["5", '{"n": 1, "adjacency": [["x"]], "features": [[1.0]]}'],
-        ids=["not an object", "non-numeric adjacency"],
+        [
+            "5",
+            '{"n": 1, "adjacency": [["x"]], "features": [[1.0]]}',
+            '{"n": true, "adjacency": [[0.5]], "features": [[1]]}',
+            "[" * 200_000,
+        ],
+        ids=["not an object", "non-numeric adjacency", "n is true", "deeply nested"],
     )
     def test_malformed_model_fails_with_diagnostic(self, tmp_path, capsys, doc):
         model = tmp_path / "model.json"
@@ -523,9 +544,10 @@ class TestCli:
 
     def test_malformed_summary_fails_with_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "summary.json"
-        path.write_text("{not json")
-        assert main(["concordance", "--summary", str(path)]) == 1
-        assert "not valid JSON" in capsys.readouterr().err
+        for text in ("{not json", "[" * 200_000):
+            path.write_text(text)
+            assert main(["concordance", "--summary", str(path)]) == 1
+            assert "error: summary file is not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "doc, field",
@@ -533,6 +555,10 @@ class TestCli:
             ([1, 2], "document"),
             ({"methods": [1]}, "'methods'"),
             ({"methods": {"nstc": {"scores": 3}, "motifs": {"scores": [1.0]}}}, "'methods.nstc.scores'"),
+            (
+                {"methods": {"nstc": {"scores": [True, False, 0.5]}, "motifs": {"scores": [1.0] * 3}}},
+                "'methods.nstc.scores'",
+            ),
         ],
     )
     def test_wrong_shape_summary_fails_with_diagnostic(self, tmp_path, capsys, doc, field):
