@@ -380,11 +380,17 @@ class TestTrain:
             ("learning_rate", float("nan")),
             ("learning_rate", float("inf")),
             ("iterations", 2.5),
+            ("seed", -1),
+            ("seed", 0.5),
         ],
     )
-    def test_bad_hyperparams_name_the_field(self, field, value):
+    def test_bad_hyperparams_name_the_field(self, piezo, field, value):
+        graph, features = piezo
         with pytest.raises(BadParameter, match=field):
-            AgcnHyperparams(**{field: value})
+            if field == "seed":  # the seed is an argument of train, not a hyperparameter
+                train(graph, features, graph.node_labels, DEFAULTS, seed=value)
+            else:
+                AgcnHyperparams(**{field: value})
 
 
 class TestTrainSeeds:
