@@ -39,13 +39,12 @@ differently and moves alpha by up to 2.8e-16.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParameter, DivergedTraining, whole_number
+from .errors import BadParameter, DivergedTraining, number_table, real_number, whole_number
 from .graph import FeatureMatrix, SignedWeightedDigraph
 from .scores import NodeScoreTable, ranked_table
 
@@ -60,16 +59,16 @@ class AgcnHyperparams:
     iterations: int = 500
 
     def __post_init__(self):
-        if not (0.0 < self.leaky_slope < 1.0):
+        if not 0.0 < real_number(self.leaky_slope, "leaky_slope") < 1.0:
             raise BadParameter(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise BadParameter(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if real_number(self.learning_rate, "learning_rate") < 0.0:
+            raise BadParameter(f"learning_rate must be >= 0, got {self.learning_rate}")
         whole_number(self.iterations, "iterations", 1)
 
 
-def check_seeds(seeds: Iterable[int]) -> list[int]:
-    """`seeds` as a list, if it is a non-empty list of distinct non-negative integers."""
-    seeds = list(seeds)
+def check_seeds(seeds: Iterable[int]) -> tuple[int, ...]:
+    """`seeds` as a tuple, if they are distinct non-negative integers, at least one."""
+    seeds = tuple(seeds)
     if not seeds:
         raise BadParameter("seeds must not be empty")
     for seed in seeds:
@@ -149,7 +148,7 @@ def pair_attention(
     row i is the softmax of its scores over all targets j, including j = i.
     """
     f = embedding.y_prime.shape[1]
-    w_att = np.asarray(w_att, dtype=float).reshape(-1)
+    w_att = number_table(w_att, "w_att").reshape(-1)
     if w_att.shape[0] != 2 * f:
         raise BadParameter(f"w_att must have length {2 * f}, got {w_att.shape[0]}")
     return _attention(embedding.y_prime, w_att[None], hyper.leaky_slope)[0]
@@ -187,13 +186,14 @@ def forward(
     n, f = x.shape
     if n != graph.n:
         raise BadParameter(f"features have {n} rows for a graph with n={graph.n}")
-    if state.alpha.shape != (n, n):
-        raise BadParameter(f"alpha must be {n}x{n}, got {state.alpha.shape}")
-    w = np.asarray(state.w, dtype=float)
+    alpha = number_table(state.alpha, "alpha")
+    if alpha.shape != (n, n):
+        raise BadParameter(f"alpha must be {n}x{n}, got {alpha.shape}")
+    w = number_table(state.w, "w")
     if w.size != f:
         raise BadParameter(f"w must be {f}x1, got shape {w.shape}")
     a_hat = normalize_adjacency(graph)
-    y_pp, _ = _forward(a_hat, state.alpha[None], x, w.reshape(1, f, 1), hyper.leaky_slope)
+    y_pp, _ = _forward(a_hat, alpha[None], x, w.reshape(1, f, 1), hyper.leaky_slope)
     return y_pp[0]
 
 
@@ -252,7 +252,7 @@ def train_seeds(
     n, f = x.shape
     if n != graph.n:
         raise BadParameter(f"features have {n} rows for a graph with n={graph.n}")
-    y_target = np.asarray(targets, dtype=float).reshape(-1)
+    y_target = number_table(targets, "targets").reshape(-1)
     if y_target.shape[0] != n:
         raise BadParameter(f"targets must have length {n}, got {y_target.shape[0]}")
     a_hat = normalize_adjacency(graph)
@@ -321,11 +321,10 @@ def perturb_features(features: FeatureMatrix, node: int, factor: float = 2.0) ->
     """Copy of the feature table with one node's feature row multiplied by factor."""
     x = features.values.copy()
     whole_number(node, "perturb node", 0, x.shape[0] - 1)
-    x[node, :] *= factor
+    x[node, :] *= real_number(factor, "factor")
     return FeatureMatrix(values=x)
 
 
 def node_attention_scores(alpha: np.ndarray) -> NodeScoreTable:
     """Per-node mean of the attention it receives (alpha's column means), ranked."""
-    alpha = np.asarray(alpha, dtype=float)
-    return ranked_table("attention", alpha.mean(axis=0))
+    return ranked_table("attention", number_table(alpha, "alpha").mean(axis=0))

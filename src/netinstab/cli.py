@@ -60,8 +60,6 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             fields = vars(args)
             del fields["command"]
-            if "seeds" in fields:
-                fields["seeds"] = tuple(fields["seeds"])
             config = AnalysisConfig(**fields)
             run(config)
             print(f"wrote artifacts to {config.output_dir}")

@@ -1,5 +1,11 @@
-"""Exception types shared across the package, and the whole-number rule for input."""
+"""Exception types shared across the package, and the rules every number from outside
+passes: `whole_number`, `real_number` and `number_table`. Each names the field it refuses
+and refuses `bool`, so `true` in a JSON file is not read as 1."""
+import math
 import numbers
+from itertools import chain
+
+import numpy as np
 
 
 class NetinstabError(Exception):
@@ -47,9 +53,37 @@ class DivergedTraining(NetinstabError):
 
 def whole_number(value, name: str, low: int, high: int | None = None, error=BadParameter):
     """`value` if it is an integer from `low` to `high` (None: no upper bound), else raise
-    `error` naming `name`. `bool` is refused, so `true` in a JSON file is not read as 1."""
+    `error` naming `name`."""
     integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not integer or value < low or (high is not None and value > high):
         bound = f">= {low}" if high is None else f"from {low} to {high}"
         raise error(f"{name} must be an integer {bound}, got {value!r}")
     return value
+
+
+def real_number(value, name: str, error=BadParameter):
+    """`value` if it is a finite real number, else raise `error` naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def number_table(value, name: str, error=BadParameter) -> np.ndarray:
+    """A read-only float copy of `value` if its rows are not ragged and its cells are finite
+    reals, else raise `error` naming `name`. A float or integer array's cells are real by
+    dtype; of any other input, each distinct cell type is checked once."""
+    try:
+        table = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # a cell that is no number, or ragged rows
+        raise error(f"{name} must be a table of numbers: {exc}") from exc
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+        cells = [value]
+        for _ in range(table.ndim):
+            cells = chain.from_iterable(cells)
+        for kind in set(map(type, cells)):
+            if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+                raise error(f"{name} must be a table of numbers, got a {kind.__name__} cell")
+    if not np.isfinite(table).all():
+        raise error(f"{name} must be a table of finite numbers")
+    table.setflags(write=False)
+    return table

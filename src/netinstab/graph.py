@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadNode, BadParameter, MalformedModel, whole_number
+from .errors import BadNode, BadParameter, MalformedModel, number_table, real_number, whole_number
 
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 _FIXTURE_ALIAS = "piezo"
@@ -33,28 +33,16 @@ class SignedWeightedDigraph:
     node_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise MalformedModel(f"adjacency must be square, got shape {w.shape}")
-        if w.size == 0:
-            raise MalformedModel("adjacency must have at least one node")
-        if not np.all(np.isfinite(w)):
-            raise MalformedModel("adjacency contains non-finite entries")
-        w = w.copy()
-        w.setflags(write=False)
+        w = number_table(self.weights, "adjacency", MalformedModel)
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
+            raise MalformedModel(f"adjacency must be a nonempty square table, got shape {w.shape}")
         object.__setattr__(self, "weights", w)
         if self.node_labels is not None:
-            try:
-                lab = np.asarray(self.node_labels, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise MalformedModel(f"labels must be a list of numbers: {exc}") from exc
+            lab = number_table(self.node_labels, "labels", MalformedModel)
             if lab.shape != (w.shape[0],):
                 raise MalformedModel(
                     f"labels must have one entry per node, got shape {lab.shape} for n={w.shape[0]}"
                 )
-            if not np.all(np.isfinite(lab)):
-                raise MalformedModel("labels contain non-finite entries")
-            lab.setflags(write=False)
             object.__setattr__(self, "node_labels", lab)
 
     @property
@@ -69,13 +57,9 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = number_table(self.values, "features", MalformedModel)
         if v.ndim != 2:
             raise MalformedModel(f"features must be a 2-d table, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise MalformedModel("features contain non-finite entries")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -129,21 +113,13 @@ def model_from_dict(doc: dict) -> tuple[SignedWeightedDigraph, FeatureMatrix]:
         if key not in doc:
             raise MalformedModel(f"model document is missing field {key!r}")
     n = whole_number(doc["n"], "field 'n'", 1, error=MalformedModel)
-    adj = _number_table(doc, "adjacency")
-    if adj.shape != (n, n):
-        raise MalformedModel(f"adjacency must be {n}x{n}, got shape {adj.shape}")
-    feat = _number_table(doc, "features")
-    if feat.ndim != 2 or feat.shape[0] != n:
-        raise MalformedModel(f"features must have {n} rows, got shape {feat.shape}")
-    graph = SignedWeightedDigraph(weights=adj, node_labels=doc.get("labels"))
-    return graph, FeatureMatrix(values=feat)
-
-
-def _number_table(doc: dict, key: str) -> np.ndarray:
-    try:
-        return np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:  # a non-number cell or ragged rows
-        raise MalformedModel(f"field {key!r} must be a table of numbers: {exc}") from exc
+    graph = SignedWeightedDigraph(weights=doc["adjacency"], node_labels=doc.get("labels"))
+    if graph.n != n:
+        raise MalformedModel(f"adjacency must be {n}x{n}, got shape {graph.weights.shape}")
+    features = FeatureMatrix(values=doc["features"])
+    if features.rows != n:
+        raise MalformedModel(f"features must have {n} rows, got shape {features.values.shape}")
+    return graph, features
 
 
 def model_to_dict(graph: SignedWeightedDigraph, features: FeatureMatrix) -> dict:
@@ -179,8 +155,7 @@ def perturb_column(graph: SignedWeightedDigraph, node: int, delta: float) -> Sig
     the input graph is left untouched.
     """
     _check_node(graph, node)
-    if not np.isfinite(delta):
-        raise BadParameter(f"delta must be finite, got {delta!r}")
+    real_number(delta, "delta")
     w = graph.weights.copy()
     mask = w[:, node] != 0
     w[mask, node] += delta

@@ -27,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import BadParameter, NumericalFailure, TooLarge
+from .errors import NumericalFailure, TooLarge, whole_number
 from .graph import SignedWeightedDigraph, _check_node, total_degree
 
 MIN_CYCLE_LEN = 3
@@ -57,13 +57,6 @@ class MotifScoreRow:
     w5: float
     w6: float
     total_cost: float
-
-
-def _check_length(length: int) -> None:
-    if not (MIN_CYCLE_LEN <= length <= MAX_CYCLE_LEN):
-        raise BadParameter(
-            f"cycle length must be in [{MIN_CYCLE_LEN}, {MAX_CYCLE_LEN}], got {length}"
-        )
 
 
 def _layer_bytes(graph: SignedWeightedDigraph) -> np.ndarray:
@@ -155,7 +148,7 @@ def enumerate_simple_cycles(graph: SignedWeightedDigraph, length: int) -> list[D
     first, in lexicographic order of its nodes. Raises `TooLarge` past the
     work bound (see `check_size`).
     """
-    _check_length(length)
+    whole_number(length, "cycle length", MIN_CYCLE_LEN, MAX_CYCLE_LEN)
     cycles: list[DirectedCycle] = []
     for block in _blocks(graph):
         layers = _cycle_layers(graph, block)
@@ -203,7 +196,7 @@ def imbalanced_motif_score(graph: SignedWeightedDigraph, node: int, length: int)
     score overflows.
     """
     _check_node(graph, node)
-    _check_length(length)
+    whole_number(length, "cycle length", MIN_CYCLE_LEN, MAX_CYCLE_LEN)
     return _imbalanced_scores(graph, length)[-1][node]
 
 

@@ -14,7 +14,6 @@ but not the walks. Their rows are formatted straight from the `Walks` columns
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import agcn, motifs, spectral, walks
-from .errors import BadParameter, whole_number
+from .errors import BadParameter, real_number, whole_number
 from .graph import load_model
 from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 from .walks import WALK_COLUMNS, Walks
@@ -53,21 +52,23 @@ class AnalysisConfig:
     top_k: int = 2
 
     def __post_init__(self):
+        # the config goes into summary.json, so paths must be strings and sequences tuples
+        for name in ("model_path", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise BadParameter(f"{name} must be a string, got {getattr(self, name)!r}")
+        object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods:
             raise BadParameter("methods must not be empty")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise BadParameter(f"unknown methods {unknown}; valid: {list(METHODS)}")
-        for name in ("delta_min", "delta_max", "delta_step"):
-            if not math.isfinite(getattr(self, name)):
-                raise BadParameter(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("delta_min", "delta_max", "delta_step", "perturb_factor"):
+            real_number(getattr(self, name), name)
         if self.delta_step <= 0:
             raise BadParameter(f"delta_step must be > 0, got {self.delta_step}")
         self.delta_grid()
         whole_number(self.top_k, "top_k", 1)
-        if not math.isfinite(self.perturb_factor):
-            raise BadParameter(f"perturb_factor must be finite, got {self.perturb_factor}")
-        agcn.check_seeds(self.seeds)  # refuse bad training settings before anything runs
+        object.__setattr__(self, "seeds", agcn.check_seeds(self.seeds))  # before anything runs
         self.hyperparams()
 
     def delta_grid(self) -> list[float]:
@@ -170,12 +171,12 @@ def _walk_csv(walks: Walks, weights):
         yield "".join(map("%s,%s,%s,%s,%.6g\n".__mod__, rows))
 
 
-def _write_summary(path: Path, summary: dict) -> None:
-    """Write `summary` as indented JSON into a temporary file that then replaces `path`."""
+def _write_summary(path: Path, text: str) -> None:
+    """Write `text` into a temporary file that then replaces `path`."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as f:
-            f.write(json.dumps(summary, indent=2, sort_keys=True))
+            f.write(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -294,10 +295,10 @@ def run(config: AnalysisConfig) -> dict:
 
     A `perturb_node` outside the graph and a graph past the motif work bound
     (`motifs.check_size`) are refused before any method runs or any file or
-    directory is written. The CSVs are written only after every selected
-    method has succeeded, so a run that raises writes none. A run
-    that succeeds also removes the CSVs of the methods it did not run (and no
-    other file), so no CSV of an earlier run outlives its summary.
+    directory is written. The CSVs are written only once every method has
+    succeeded and the summary is encoded, so a run that raises writes none.
+    A run that succeeds also removes the CSVs of the methods it did not run
+    (and no other file), so no CSV of an earlier run outlives its summary.
     """
     graph, features = load_model(config.model_path, config.variant)
     if config.perturb_node is not None:
@@ -328,6 +329,7 @@ def run(config: AnalysisConfig) -> dict:
     }
     if len(tables) >= 2:
         summary["concordance"] = asdict(concordance(tables, config.top_k))
+    summary_text = json.dumps(summary, indent=2, sort_keys=True)  # before any write: it can raise
     for name in METHODS.keys() - tables.keys():
         for stale in ARTIFACTS[name]:
             (out / stale).unlink(missing_ok=True)
@@ -335,7 +337,7 @@ def run(config: AnalysisConfig) -> dict:
         text = files.pop(name)
         with open(out / name, "w") as f:
             f.writelines([text] if isinstance(text, str) else text)
-    _write_summary(out / "summary.json", summary)
+    _write_summary(out / "summary.json", summary_text)
     return summary
 
 

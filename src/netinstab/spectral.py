@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMatrix, BadParameter, NumericalFailure
+from .errors import BadMatrix, BadParameter, NumericalFailure, number_table
 from .graph import SignedWeightedDigraph
 
 # acceptance for a computed eigenpair (v, x): the backward error
@@ -50,11 +50,9 @@ def eigenvalues(matrix) -> EigenSet:
     solver that fails to converge, a non-finite scale, value or residual, or
     a failed check raises NumericalFailure.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = number_table(matrix, "matrix", BadMatrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise BadMatrix(f"expected a nonempty square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise BadMatrix("matrix contains non-finite entries")
     n = m.shape[0]
     try:
         scale = float(np.linalg.norm(m, 2)) if n > 1 else float(abs(m[0, 0]))
@@ -120,11 +118,11 @@ def perturbation_sweep(graph: SignedWeightedDigraph, deltas) -> PerturbationSwee
     whose eigenvalue computation fails is marked "failed" without aborting the
     other cells.
     """
-    deltas = [float(d) for d in deltas]
-    if any(not np.isfinite(d) for d in deltas):
-        raise BadParameter("deltas must be finite")
+    deltas = number_table(deltas, "deltas")
+    if deltas.ndim != 1:
+        raise BadParameter(f"deltas must be a list of numbers, got shape {deltas.shape}")
     nodes = tuple(range(graph.n))
-    grid = sorted(set(deltas) | {0.0})
+    grid = sorted(set(deltas.tolist()) | {0.0})
     cells = {}
     for node in nodes:
         for delta in grid:

@@ -62,6 +62,12 @@ class TestLoadModel:
         with pytest.raises(MalformedModel):
             SignedWeightedDigraph(weights=np.array([[np.nan]]))
 
+    def test_constructors_keep_a_copy(self):
+        w, labels = np.eye(2), np.array([0.1, 0.2])
+        graph = SignedWeightedDigraph(weights=w, node_labels=labels)
+        w[0, 0] = labels[0] = 5.0  # the caller's arrays stay writable and apart
+        assert graph.weights[0, 0] == 1.0 and graph.node_labels[0] == 0.1
+
     def test_label_row_mismatch_rejected(self):
         with pytest.raises(MalformedModel):
             model_from_dict(
@@ -78,9 +84,12 @@ class TestLoadModel:
             ("adjacency", [[0, 1], [1]]),  # ragged
             ("features", [[1], [2, 3]]),
             ("features", [[1], [{}]]),
+            ("adjacency", [[0, True], [1, 0]]),
+            ("features", [[True], [2]]),
+            ("labels", [True, False]),
         ],
     )
-    def test_bad_labels_and_clusters_name_the_field(self, field, value):
+    def test_bad_tables_name_the_field(self, field, value):
         doc = {"n": 2, "adjacency": [[0, 1], [1, 0]], "features": [[1], [2]], field: value}
         with pytest.raises(MalformedModel, match=field):
             model_from_dict(doc)

@@ -12,15 +12,26 @@ from hypothesis import strategies as st
 
 from netinstab import (
     AgcnHyperparams,
+    AgcnState,
     AnalysisConfig,
     BadParameter,
+    NetinstabError,
     NumericalFailure,
     SignedWeightedDigraph,
     TooLarge,
     concordance,
+    eigenvalues,
+    enumerate_simple_cycles,
+    forward,
     node_attention_scores,
     nstc_ranking,
+    pair_attention,
+    perturb_column,
+    perturb_features,
+    perturbation_sweep,
     ranked_table,
+    self_attention_embed,
+    train_seeds,
 )
 from netinstab import report
 from netinstab.cli import main
@@ -142,11 +153,29 @@ class TestConfig:
             ("learning_rate", float("inf"), "learning_rate"),
             ("perturb_factor", float("nan"), "perturb_factor"),
             ("perturb_factor", float("-inf"), "perturb_factor"),
+            *(
+                (name, value, name)
+                for name in ("learning_rate", "leaky_slope", "perturb_factor")
+                + ("delta_min", "delta_max", "delta_step")
+                for value in (True, "x")
+            ),
         ],
     )
     def test_bad_training_input_rejected_before_running(self, field, value, named):
         with pytest.raises(BadParameter, match=named):
             AnalysisConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["model_path", "output_dir"])
+    def test_path_that_is_not_a_string_rejected(self, tmp_path, field):
+        with pytest.raises(BadParameter, match=field):
+            AnalysisConfig(**{field: tmp_path / "x"})
+
+    def test_sequences_stored_as_tuples(self, tmp_path):
+        config = AnalysisConfig(methods=["nstc"], seeds=range(3), output_dir=str(tmp_path))
+        assert (config.methods, config.seeds) == (("nstc",), (0, 1, 2))
+        run(config)
+        saved = json.loads((tmp_path / "summary.json").read_text())["config"]
+        assert (saved["methods"], saved["seeds"]) == (["nstc"], [0, 1, 2])
 
     def test_grid_at_the_point_cap_accepted(self):
         # the cap counts the grid's points, with the grid's own end tolerance
@@ -161,7 +190,55 @@ class TestConfig:
             AnalysisConfig(delta_min=3, delta_max=0.5)
 
 
+def _state(w):
+    return AgcnState(w_att=np.zeros(6), w=w, alpha=np.full((8, 8), 1 / 8))
+
+
+HYPER = AgcnHyperparams(iterations=2)
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "named, call",
+    [
+        ("deltas", lambda g, f: perturbation_sweep(g, ["a"])),
+        ("deltas", lambda g, f: perturbation_sweep(g, [True])),
+        ("delta", lambda g, f: perturb_column(g, 1, "x")),
+        ("delta", lambda g, f: perturb_column(g, 1, True)),
+        ("factor", lambda g, f: perturb_features(f, 0, "x")),
+        ("factor", lambda g, f: perturb_features(f, 0, NAN)),
+        ("matrix", lambda g, f: eigenvalues([["a"]])),
+        ("matrix", lambda g, f: eigenvalues([[True]])),
+        ("w", lambda g, f: forward(g, f, _state(["a", "b", "c"]), HYPER)),
+        ("w_att", lambda g, f: pair_attention(self_attention_embed(f, HYPER), ["a"] * 6, HYPER)),
+        ("targets", lambda g, f: train_seeds(g, f, [0.1] * 7 + [NAN], HYPER, [0])),
+        ("targets", lambda g, f: train_seeds(g, f, "abcdefgh", HYPER, [0])),
+        ("targets", lambda g, f: train_seeds(g, f, [True] * 8, HYPER, [0])),
+        ("cycle length", lambda g, f: enumerate_simple_cycles(g, 3.5)),
+        ("scores", lambda g, f: ranked_table("nstc", ["x"] * 8)),
+        ("alpha", lambda g, f: node_attention_scores([["a"]])),
+    ],
+    ids=[
+        "perturbation_sweep-str", "perturbation_sweep-bool", "perturb_column-str",
+        "perturb_column-bool", "perturb_features-str", "perturb_features-nan", "eigenvalues-str",
+        "eigenvalues-bool", "forward-str", "pair_attention-str", "train_seeds-nan",
+        "train_seeds-str", "train_seeds-bool", "enumerate_simple_cycles-float", "ranked_table-str",
+        "node_attention_scores-str",
+    ],
+)
+def test_public_functions_name_a_bad_number(piezo, named, call):
+    # a NetinstabError that names the argument, not a bare TypeError or DivergedTraining
+    with pytest.raises(NetinstabError, match=f"^{named} must be"):
+        call(*piezo)
+
+
 class TestRun:
+    def test_unencodable_summary_writes_nothing(self, tmp_path):
+        with mock.patch("netinstab.report.json.dumps", side_effect=TypeError("not JSON serializable")):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                run(AnalysisConfig(methods=("nstc",), output_dir=str(tmp_path)))
+        assert os.listdir(tmp_path) == []
+
     def test_nstc_artifacts(self, tmp_path):
         config = AnalysisConfig(methods=("nstc",), output_dir=str(tmp_path))
         summary = run(config)
@@ -397,7 +474,7 @@ class TestSummaryWriter:
         path.write_text("old")
         with mock.patch("netinstab.report.os.replace", side_effect=OSError("disk full")):
             with pytest.raises(OSError, match="disk full"):
-                _write_summary(path, {"n": 1})
+                _write_summary(path, "{}")
         assert path.read_text() == "old"
         assert os.listdir(tmp_path) == ["summary.json"]
 
