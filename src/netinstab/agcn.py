@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParameter, DivergedTraining, number_table, real_number, whole_number
+from .errors import BadParameter, DivergedTraining, number_table, real_number, sequence, whole_number
 from .graph import FeatureMatrix, SignedWeightedDigraph
 from .scores import NodeScoreTable, ranked_table
 
@@ -67,12 +67,10 @@ class AgcnHyperparams:
 
 
 def check_seeds(seeds: Iterable[int]) -> tuple[int, ...]:
-    """`seeds` as a tuple, if they are distinct non-negative integers, at least one."""
-    seeds = tuple(seeds)
+    """`seeds` as a tuple of `int`, if they are distinct non-negative integers, at least one."""
+    seeds = tuple(whole_number(seed, "seed", 0) for seed in sequence(seeds, "seeds"))
     if not seeds:
         raise BadParameter("seeds must not be empty")
-    for seed in seeds:
-        whole_number(seed, "seed", 0)
     if len(set(seeds)) != len(seeds):  # a repeat would train twice and keep one
         raise BadParameter(f"seeds must not repeat, got {seeds}")
     return seeds

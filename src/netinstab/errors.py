@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the rules every number from outside
-passes: `whole_number`, `real_number` and `number_table`. Each names the field it refuses
-and refuses `bool`, so `true` in a JSON file is not read as 1."""
+"""Exception types shared across the package, and the rules every value from outside passes:
+`whole_number`, `real_number`, `number_table` and `sequence`. Each names the field it refuses
+and returns built-in values; the number rules refuse `bool`, so a JSON `true` is not read as 1."""
 import math
 import numbers
+from collections.abc import Iterable
 from itertools import chain
 
 import numpy as np
@@ -52,20 +53,27 @@ class DivergedTraining(NetinstabError):
 
 
 def whole_number(value, name: str, low: int, high: int | None = None, error=BadParameter):
-    """`value` if it is an integer from `low` to `high` (None: no upper bound), else raise
-    `error` naming `name`."""
+    """`int(value)` for an integer from `low` to `high` (None: no bound), else raise `error`."""
     integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not integer or value < low or (high is not None and value > high):
         bound = f">= {low}" if high is None else f"from {low} to {high}"
         raise error(f"{name} must be an integer {bound}, got {value!r}")
-    return value
+    return int(value)
 
 
 def real_number(value, name: str, error=BadParameter):
-    """`value` if it is a finite real number, else raise `error` naming `name`."""
+    """A finite real `value` as a built-in `int` (an integer) or `float`, else raise `error`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise error(f"{name} must be a finite number, got {value!r}")
-    return value
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
+
+
+def sequence(value, name: str) -> tuple:
+    """`value` as a tuple if it is iterable and not a string, else raise `BadParameter`."""
+    iterable = isinstance(value, Iterable) and getattr(value, "ndim", 1) != 0  # 0-d arrays are not
+    if isinstance(value, (str, bytes)) or not iterable:
+        raise BadParameter(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
 
 
 def number_table(value, name: str, error=BadParameter) -> np.ndarray:

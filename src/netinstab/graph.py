@@ -3,8 +3,8 @@
 A graph is a dense n x n weight matrix: entry (i, j) is the weight of the
 directed edge i -> j, and an edge exists exactly when its weight is nonzero
 (no epsilon thresholding; fixture weights are exact decimal literals).
-Self-loops are allowed. Graphs are immutable after construction; every
-operation returns a new value, so concurrent reads are safe.
+Self-loops are allowed but left out of `edges`. Graphs are immutable after
+construction; every operation returns a new value, so concurrent reads are safe.
 """
 from __future__ import annotations
 
@@ -48,6 +48,10 @@ class SignedWeightedDigraph:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+    @property
+    def edges(self) -> np.ndarray:
+        return (self.weights != 0) & ~np.eye(self.n, dtype=bool)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Directed simple-cycle enumeration and the imbalanced-motif cost per node.
 
-A motif here is a directed simple cycle of 3 to 6 distinct nodes (self-loops
-are never cycle edges). A cycle is imbalanced when the product of its edge
-weights is negative, i.e. it carries an odd number of negative edges. For a
-node and cycle length k, the score sums the weight products of the imbalanced
-k-cycles through the node, normalized by the squared total degree; the total
-cost combines the four lengths as the cube root of the absolute product.
+A motif here is a directed simple cycle of 3 to 6 distinct nodes along the
+graph's `edges` (never a self-loop). A cycle is imbalanced when the product of
+its edge weights is negative, i.e. it carries an odd number of negative edges.
+For a node and cycle length k, the score sums the weight products of the
+imbalanced k-cycles through the node, normalized by the squared total degree;
+the total cost combines the four lengths as the cube root of the absolute product.
 
 Enumeration is exact. `_cycle_layers` grows every simple path from a block of
 start nodes one edge at a time, as numpy columns, stepping only to nodes above
@@ -66,8 +66,7 @@ def _layer_bytes(graph: SignedWeightedDigraph) -> np.ndarray:
     which bounds the simple paths `_cycle_layers` keeps; its last layer keeps
     only the paths that close. A path row also holds a mask row of n bytes.
     """
-    b = (graph.weights != 0).astype(float)
-    np.fill_diagonal(b, 0.0)
+    b = graph.edges.astype(float)
     walks = np.triu(b, 1)
     rows = [walks.sum(axis=1)]
     for _ in range(MAX_CYCLE_LEN - 3):
@@ -116,9 +115,7 @@ def _cycle_layers(
     edge by edge in path order, so rows and products equal a depth-first
     search's.
     """
-    w = graph.weights
-    edge = w != 0
-    np.fill_diagonal(edge, False)
+    w, edge = graph.weights, graph.edges
     node = np.arange(graph.n)
     first = node[starts.start : starts.stop]
     row, nxt = np.nonzero(edge[first] & (node > first[:, None]))

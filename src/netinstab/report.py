@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import agcn, motifs, spectral, walks
-from .errors import BadParameter, real_number, whole_number
+from .errors import BadParameter, real_number, sequence, whole_number
 from .graph import load_model
 from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 from .walks import WALK_COLUMNS, Walks
@@ -52,22 +52,21 @@ class AnalysisConfig:
     top_k: int = 2
 
     def __post_init__(self):
-        # the config goes into summary.json, so paths must be strings and sequences tuples
+        # the config goes into summary.json, so it keeps strings, tuples and built-in numbers
         for name in ("model_path", "output_dir"):
             if not isinstance(getattr(self, name), str):
                 raise BadParameter(f"{name} must be a string, got {getattr(self, name)!r}")
-        object.__setattr__(self, "methods", tuple(self.methods))
-        if not self.methods:
-            raise BadParameter("methods must not be empty")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise BadParameter(f"unknown methods {unknown}; valid: {list(METHODS)}")
-        for name in ("delta_min", "delta_max", "delta_step", "perturb_factor"):
-            real_number(getattr(self, name), name)
+        object.__setattr__(self, "methods", sequence(self.methods, "methods"))
+        if not self.methods or not set(self.methods) <= METHODS.keys():
+            raise BadParameter(f"methods must be some of {list(METHODS)}, got {self.methods}")
+        for name in ("delta_min", "delta_max", "delta_step", "perturb_factor", "learning_rate"):
+            object.__setattr__(self, name, real_number(getattr(self, name), name))
+        object.__setattr__(self, "leaky_slope", real_number(self.leaky_slope, "leaky_slope"))
         if self.delta_step <= 0:
             raise BadParameter(f"delta_step must be > 0, got {self.delta_step}")
         self.delta_grid()
-        whole_number(self.top_k, "top_k", 1)
+        for name in ("top_k", "iterations"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, 1))
         object.__setattr__(self, "seeds", agcn.check_seeds(self.seeds))  # before anything runs
         self.hyperparams()
 
@@ -112,7 +111,7 @@ class ConcordanceReport:
 
 def concordance(tables: dict[str, NodeScoreTable], top_k: int) -> ConcordanceReport:
     """Pairwise top-k Jaccard and Spearman rank agreement between rankings."""
-    whole_number(top_k, "top_k", 1)
+    top_k = whole_number(top_k, "top_k", 1)
     sizes = {name: t.n for name, t in tables.items()}
     if len(set(sizes.values())) > 1:
         raise BadParameter(f"tables cover different node sets: {sizes}")
@@ -302,7 +301,8 @@ def run(config: AnalysisConfig) -> dict:
     """
     graph, features = load_model(config.model_path, config.variant)
     if config.perturb_node is not None:
-        whole_number(config.perturb_node, "perturb_node", 0, graph.n - 1)
+        node = whole_number(config.perturb_node, "perturb_node", 0, graph.n - 1)
+        config = replace(config, perturb_node=node)
     if "motifs" in config.methods:
         motifs.check_size(graph)
     out = Path(config.output_dir)
@@ -356,15 +356,10 @@ def tables_from_summary(summary: dict) -> dict[str, NodeScoreTable]:
             raise BadParameter(f"summary names unknown method {name!r}; valid: {list(METHODS)}")
         data = _json_object(data, f"field 'methods.{name}'")
         if "scores" in data:
-            scores = data["scores"]
-            if not isinstance(scores, list) or not all(
-                s is None or (isinstance(s, (int, float)) and not isinstance(s, bool))
-                for s in scores
-            ):
-                raise BadParameter(
-                    f"summary field 'methods.{name}.scores' must be a list of numbers or nulls"
-                )
-            tables[name] = ranked_table(name, scores)
+            try:
+                tables[name] = ranked_table(name, data["scores"])
+            except BadParameter as exc:
+                raise BadParameter(f"summary field 'methods.{name}.scores': {exc}") from exc
     return tables
 
 

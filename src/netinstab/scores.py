@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, real_number, whole_number
+from .errors import BadParameter, real_number, sequence, whole_number
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ def ranked_table(method: str, scores) -> NodeScoreTable:
     """Rank nodes by score in `method`'s orientation; None scores go last, ties by index."""
     if method not in DESCENDING:
         raise BadParameter(f"unknown method {method!r}; valid: {list(DESCENDING)}")
-    vals = [None if s is None or (isinstance(s, float) and math.isnan(s))
-            else float(real_number(s, "scores")) for s in scores]
+    vals = [None if s is None else float(real_number(s, "scores"))
+            for s in sequence(scores, "scores")]
     sign = -1.0 if DESCENDING[method] else 1.0
 
     def key(node):

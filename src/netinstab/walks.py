@@ -1,7 +1,7 @@
 """Two-step random-walk enumeration and the transition-cost node ranking.
 
-From a start node k the walker takes two directed steps along nonzero-weight
-edges, never using a self-loop and never returning to the start: k -> i -> j
+From a start node k the walker takes two directed steps along the graph's
+`edges` (which leave out self-loops), never returning to the start: k -> i -> j
 with i != k, j != i, j != k. The score of a start node is the mean over all
 its walks of the product of the two traversed edge weights; strongly negative
 values mark a polarity-reversing local flow structure, and nodes are ranked
@@ -69,9 +69,7 @@ class NstcRow:
 
 def _enumerate(graph: SignedWeightedDigraph, starts: range) -> Walks:
     """Every walk from `starts`: no self-loop step, no return to the start."""
-    w = graph.weights
-    edge = w != 0
-    np.fill_diagonal(edge, False)
+    w, edge = graph.weights, graph.edges
     k, i = np.nonzero(edge[starts.start : starts.stop])
     k += starts.start
     # row-major nonzero keeps (start, mid, end) order; row p of the mask is walk prefix k[p] -> i[p]

@@ -2,6 +2,7 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -149,6 +150,10 @@ class TestConfig:
         [
             ("seeds", (0, -1), "seed"),
             ("seeds", (1, 1), "seeds"),
+            ("seeds", 5, "seeds"),
+            ("seeds", np.array(3), "seeds"),
+            ("methods", 5, "methods must be"),
+            ("methods", "nstc", "methods must be"),  # not split into letters
             ("learning_rate", float("nan"), "learning_rate"),
             ("learning_rate", float("inf"), "learning_rate"),
             ("perturb_factor", float("nan"), "perturb_factor"),
@@ -176,6 +181,16 @@ class TestConfig:
         run(config)
         saved = json.loads((tmp_path / "summary.json").read_text())["config"]
         assert (saved["methods"], saved["seeds"]) == (["nstc"], [0, 1, 2])
+        # numpy scalars and fractions are stored, and saved, as the built-in numbers they equal
+        plain = dict(methods=("attention", "nstc"), seeds=(0, 1, 2), top_k=3, iterations=20,
+                     perturb_node=1, delta_max=3.0, delta_step=0.5)
+        other = dict(plain, seeds=np.arange(3), top_k=np.int64(3), iterations=np.int64(20),
+                     perturb_node=np.int64(1), delta_max=np.float32(3.0), delta_step=Fraction(1, 2))
+        texts = []
+        for kwargs in (plain, other):
+            run(AnalysisConfig(output_dir=str(tmp_path / "out"), **kwargs))
+            texts.append((tmp_path / "out" / "summary.json").read_text())
+        assert texts[0] == texts[1]
 
     def test_grid_at_the_point_cap_accepted(self):
         # the cap counts the grid's points, with the grid's own end tolerance
@@ -216,6 +231,10 @@ NAN = float("nan")
         ("targets", lambda g, f: train_seeds(g, f, [True] * 8, HYPER, [0])),
         ("cycle length", lambda g, f: enumerate_simple_cycles(g, 3.5)),
         ("scores", lambda g, f: ranked_table("nstc", ["x"] * 8)),
+        ("scores", lambda g, f: ranked_table("nstc", [NAN, 1.0])),
+        ("scores", lambda g, f: ranked_table("nstc", [np.float32("nan"), 1.0])),
+        ("scores", lambda g, f: ranked_table("nstc", 5)),
+        ("seeds", lambda g, f: train_seeds(g, f, g.node_labels, HYPER, seeds=3)),
         ("alpha", lambda g, f: node_attention_scores([["a"]])),
     ],
     ids=[
@@ -223,6 +242,7 @@ NAN = float("nan")
         "perturb_column-bool", "perturb_features-str", "perturb_features-nan", "eigenvalues-str",
         "eigenvalues-bool", "forward-str", "pair_attention-str", "train_seeds-nan",
         "train_seeds-str", "train_seeds-bool", "enumerate_simple_cycles-float", "ranked_table-str",
+        "ranked_table-nan", "ranked_table-float32-nan", "ranked_table-int", "train_seeds-int",
         "node_attention_scores-str",
     ],
 )
@@ -634,6 +654,14 @@ class TestCli:
             ({"methods": {"nstc": {"scores": 3}, "motifs": {"scores": [1.0]}}}, "'methods.nstc.scores'"),
             (
                 {"methods": {"nstc": {"scores": [True, False, 0.5]}, "motifs": {"scores": [1.0] * 3}}},
+                "'methods.nstc.scores'",
+            ),
+            (
+                {"methods": {"nstc": {"scores": [NAN, 1.0]}, "motifs": {"scores": [1.0] * 2}}},
+                "'methods.nstc.scores'",
+            ),
+            (
+                {"methods": {"nstc": {"scores": "12"}, "motifs": {"scores": [1.0] * 2}}},
                 "'methods.nstc.scores'",
             ),
         ],
