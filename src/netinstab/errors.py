@@ -63,7 +63,12 @@ def whole_number(value, name: str, low: int, high: int | None = None, error=BadP
 
 def real_number(value, name: str, error=BadParameter):
     """A finite real `value` as a built-in `int` (an integer) or `float`, else raise `error`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an integer past float range, whose repr can run to thousands of digits
+        raise error(f"{name} must be a finite number, got one past float range") from None
+    if not finite:
         raise error(f"{name} must be a finite number, got {value!r}")
     return int(value) if isinstance(value, numbers.Integral) else float(value)
 
@@ -82,7 +87,7 @@ def number_table(value, name: str, error=BadParameter) -> np.ndarray:
     dtype; of any other input, each distinct cell type is checked once."""
     try:
         table = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:  # a cell that is no number, or ragged rows
+    except (TypeError, ValueError, OverflowError) as exc:  # no number, past float range, or ragged
         raise error(f"{name} must be a table of numbers: {exc}") from exc
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
         cells = [value]

@@ -28,9 +28,9 @@ from .walks import WALK_COLUMNS, Walks
 
 _WALK_CHUNK_ROWS = 1024  # walk rows formatted per block, which bounds the text held at once
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
-# each grid point costs one verified O(n^3) eigen-solve per node (about 2 ms at
-# n = 48), so a grid past this (a delta_step of 1e-7 gives 25 million points)
-# would run for days rather than fail
+# each grid point but delta = 0 costs one verified O(n^3) eigen-solve per node
+# (1.5-1.8 ms on one core at n = 48, 2-core x86-64), so a grid past this (a
+# delta_step of 1e-7 gives 25 million points) would run for days rather than fail
 MAX_DELTA_POINTS = 1000
 
 
@@ -57,7 +57,7 @@ class AnalysisConfig:
             if not isinstance(getattr(self, name), str):
                 raise BadParameter(f"{name} must be a string, got {getattr(self, name)!r}")
         object.__setattr__(self, "methods", sequence(self.methods, "methods"))
-        if not self.methods or not set(self.methods) <= METHODS.keys():
+        if not self.methods or not all(isinstance(m, str) and m in METHODS for m in self.methods):
             raise BadParameter(f"methods must be some of {list(METHODS)}, got {self.methods}")
         for name in ("delta_min", "delta_max", "delta_step", "perturb_factor", "learning_rate"):
             object.__setattr__(self, name, real_number(getattr(self, name), name))

@@ -87,6 +87,7 @@ class TestLoadModel:
             ("adjacency", [[0, True], [1, 0]]),
             ("features", [[True], [2]]),
             ("labels", [True, False]),
+            ("adjacency", [[0, 10**400], [1, 0]]),  # past float range
         ],
     )
     def test_bad_tables_name_the_field(self, field, value):

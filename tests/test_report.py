@@ -164,6 +164,7 @@ class TestConfig:
                 + ("delta_min", "delta_max", "delta_step")
                 for value in (True, "x")
             ),
+            ("methods", [["nstc"]], "methods must be"),  # unhashable
         ],
     )
     def test_bad_training_input_rejected_before_running(self, field, value, named):
@@ -236,6 +237,7 @@ NAN = float("nan")
         ("scores", lambda g, f: ranked_table("nstc", 5)),
         ("seeds", lambda g, f: train_seeds(g, f, g.node_labels, HYPER, seeds=3)),
         ("alpha", lambda g, f: node_attention_scores([["a"]])),
+        ("delta_max", lambda g, f: AnalysisConfig(delta_max=10**400)),
     ],
     ids=[
         "perturbation_sweep-str", "perturbation_sweep-bool", "perturb_column-str",
@@ -243,7 +245,7 @@ NAN = float("nan")
         "eigenvalues-bool", "forward-str", "pair_attention-str", "train_seeds-nan",
         "train_seeds-str", "train_seeds-bool", "enumerate_simple_cycles-float", "ranked_table-str",
         "ranked_table-nan", "ranked_table-float32-nan", "ranked_table-int", "train_seeds-int",
-        "node_attention_scores-str",
+        "node_attention_scores-str", "AnalysisConfig-past-float-range",
     ],
 )
 def test_public_functions_name_a_bad_number(piezo, named, call):
@@ -662,6 +664,10 @@ class TestCli:
             ),
             (
                 {"methods": {"nstc": {"scores": "12"}, "motifs": {"scores": [1.0] * 2}}},
+                "'methods.nstc.scores'",
+            ),
+            (
+                {"methods": {"nstc": {"scores": [10**400, 1]}, "motifs": {"scores": [1.0] * 2}}},
                 "'methods.nstc.scores'",
             ),
         ],

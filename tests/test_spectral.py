@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netinstab.spectral
-from netinstab.spectral import RESIDUAL_RTOL
+from netinstab.spectral import RESIDUAL_RTOL, SweepCell
 from netinstab import (
     BadMatrix,
     BadParameter,
@@ -64,6 +64,23 @@ def assert_svd_oracle_holds(m):
     assert es.residual_bound >= sigma - 4 * np.finfo(float).eps * scale
 
 
+def column_by_column_sweep(graph, grid):
+    """Reference sweep: every (node, delta) matrix built and solved on its own."""
+    cells = {}
+    for node in range(graph.n):
+        for delta in grid:
+            w = graph.weights.copy()
+            w[:, node] += delta
+            try:
+                value = largest_negative_eigenvalue(eigenvalues(w))
+            except NumericalFailure:
+                cells[(node, delta)] = SweepCell(node, delta, None, "failed")
+                continue
+            status = "ok" if value is not None else "no_negative"
+            cells[(node, delta)] = SweepCell(node, delta, value, status)
+    return cells
+
+
 def assert_multisets_close(got, expected, tol):
     remaining = list(expected)
     for value in got:
@@ -116,6 +133,19 @@ class TestEigenvalues:
     @pytest.mark.parametrize("name", list(hard_matrices()))
     def test_svd_oracle_hard_cases(self, name):
         assert_svd_oracle_holds(hard_matrices()[name])
+
+    @pytest.mark.parametrize("name", list(hard_matrices()))
+    def test_real_residual_matches_complex_residual(self, name):
+        # the companion cases have complex pairs, whose residual needs Im x
+        m = hard_matrices()[name]
+        n = len(m)
+        vals, vecs = np.linalg.eig(m)
+        unit = max(1.0, float(np.linalg.norm(m, 2)))
+        residuals = np.linalg.norm((m @ vecs - vecs * vals) / unit, axis=0)  # m promoted to complex
+        worst = float((residuals / np.linalg.norm(vecs, axis=0)).max()) * unit
+        # either product's entry i is within n * eps * (|m| |x|)_i of the exact one, and ||x|| = 1
+        tol = 4 * n * np.finfo(float).eps * float(np.linalg.norm(np.abs(m), 2))
+        assert abs(eigenvalues(m).residual_bound - worst) <= tol
 
     @given(seed=st.integers(0, 100_000), n=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -202,6 +232,45 @@ class TestSweep:
         statuses = [table.cells[key].status for key in sorted(table.cells)]
         assert statuses.count("failed") == 1
         assert statuses.count("ok") == 15
+
+    def test_failed_zero_delta_solve_fails_every_node_once(self, piezo, monkeypatch):
+        real = netinstab.spectral.eigenvalues
+        calls = {"count": 0}
+
+        def fails_first(matrix):
+            calls["count"] += 1
+            if calls["count"] == 1:
+                raise NumericalFailure("synthetic failure of the delta=0 solve")
+            return real(matrix)
+
+        monkeypatch.setattr(netinstab.spectral, "eigenvalues", fails_first)
+        graph = piezo[0]
+        table = perturbation_sweep(graph, [0.5, 1.0])
+        assert calls["count"] == 1 + graph.n * (len(table.deltas) - 1)
+        failed = {key for key, cell in table.cells.items() if cell.status == "failed"}
+        assert failed == {(node, 0.0) for node in range(graph.n)}
+        assert all(table.cells[(node, 0.0)].node == node for node in range(graph.n))
+
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(2, 24),
+        deltas=st.lists(st.floats(-3, 3), max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_matches_column_by_column_oracle(self, seed, n, deltas):
+        graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(np.random.default_rng(seed), n))
+        table = perturbation_sweep(graph, deltas)
+        assert table.deltas == tuple(sorted(set(deltas) | {0.0}))
+        assert table.cells == column_by_column_sweep(graph, table.deltas)
+
+    def test_negative_zero_weights_give_every_node_one_baseline(self):
+        # adding 0.0 to one column turns only that column's -0.0 weights into 0.0, which
+        # moved the baseline's last bits from node to node; all nodes share the whole-matrix one
+        w = random_signed_digraph_weights(np.random.default_rng(0), 12)
+        graph = SignedWeightedDigraph(weights=np.where(w == 0, -0.0, w))
+        table = perturbation_sweep(graph, [0.5])
+        expected = largest_negative_eigenvalue(eigenvalues(w))
+        assert [table.value(node, 0.0) for node in range(12)] == [expected] * 12
 
     def test_overflowing_cells_fail_without_aborting(self):
         graph = SignedWeightedDigraph(weights=np.full((2, 2), 1e308))
