@@ -25,17 +25,18 @@ many seeds as keep each stacked array under about BLOCK_BYTES. On small
 graphs such as the paper's 8-node model every seed is in one block, which
 saves numpy's per-call overhead; from about n = 360 on a block holds one
 seed, so memory does not grow with the number of seeds. Within a block
-the parameters carry a leading seed axis, and the masked adjacency
-A_hat * alpha, the products (A_hat * alpha) X w and M_X, the prediction
-softmax, both updates and the loss are stacked arrays over the seeds. A
-seed's results do not depend on its block: numpy runs a stacked matmul as the
-same BLAS call per seed that one seed's product makes, and every reduction
-adds along the same contiguous axis in the same order, so each seed's
-parameters, losses and outputs are bit for bit those of training it alone.
-The attention projections Y' w_att[:F] and Y' w_att[F:] stay one
-matrix-vector product (gemv) per seed, stacked the same way: Y' times all
-seeds' parameters as one F x S matrix would be a gemm, which rounds
-differently and moves alpha by up to 2.8e-16.
+the parameters carry a leading seed axis, and M_X = (A_hat * alpha) X
+(formed once per pass, for the prediction and the w update), the prediction
+softmax, both updates and the loss are stacked arrays over the seeds. The
+last of the iterations + 1 passes gives the final alpha, prediction and loss
+and updates nothing. A seed's results do not depend on its block: numpy runs
+a stacked matmul as the same BLAS call per seed that one seed's product
+makes, and every reduction adds along the same contiguous axis in the same
+order, so each seed's parameters, losses and outputs are bit for bit those
+of training it alone. The attention projections Y' w_att[:F] and
+Y' w_att[F:] stay one matrix-vector product (gemv) per seed, stacked the
+same way: Y' times all seeds' parameters as one F x S matrix would be a
+gemm, which rounds differently and moves alpha by up to 2.8e-16.
 """
 from __future__ import annotations
 
@@ -166,11 +167,11 @@ def normalize_adjacency(graph: SignedWeightedDigraph) -> np.ndarray:
 
 
 def _forward(a_hat, alpha, x, w, slope: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked predictions (seeds x n x 1) and masked adjacencies, from alpha and w stacked."""
-    masked = a_hat * alpha
-    logits = _leaky_relu(masked @ x @ w, slope)
+    """Stacked predictions (seeds x n x 1) and M_X = (A_hat * alpha) X, which the w update reuses."""
+    m_x = (a_hat * alpha) @ x
+    logits = _leaky_relu(m_x @ w, slope)
     y_pp = _softmax_rows(logits[..., 0])[..., None]  # softmax across nodes
-    return y_pp, masked
+    return y_pp, m_x
 
 
 def forward(
@@ -209,15 +210,16 @@ def train(
     parameters, records the mean squared error, then applies the two updates:
 
     * convolution: w += mu * ((err^T (M_X * (1 - M_X)))^T) with
-      M_X = (A_hat * alpha) X, err = targets - prediction;
+      M_X = (A_hat * alpha) X from the forward pass, err = targets - prediction;
     * attention: per-node contributions G = Y'(1 - Y') * mu * err * X are
       concatenated over the ordered pairs (i, j) connected in the self-looped
       weight matrix and summed, normalized by 2n, and added to w_att.
 
-    The returned state carries the post-training alpha and prediction, the
-    loss at the final parameters, and one recorded loss per iteration (each
-    measured before that iteration's update). learning_rate = 0 leaves both
-    parameter blocks exactly at their initial values.
+    The returned state carries one recorded loss per iteration (each
+    measured before that iteration's update), and the alpha, prediction and
+    loss of pass `iterations`, the same pass with no update after it.
+    learning_rate = 0 leaves both parameter blocks exactly at their initial
+    values.
 
     This is `train_seeds` with one seed. Its products carry a seed axis of
     length one; the attention projections stay matrix-vector products, as
@@ -277,39 +279,33 @@ def _train_block(a_hat, pairs, y_prime, x, y_target, hyper: AgcnHyperparams, see
     w = np.stack([rng.uniform(-INIT_RANGE, INIT_RANGE, size=(f, 1)) for rng in rngs])
     deriv_prime = y_prime * (1.0 - y_prime)
 
-    losses = np.empty((hyper.iterations, len(seeds)))
+    losses = np.empty((hyper.iterations + 1, len(seeds)))  # the last row is the final loss
     # runaway parameters are caught through the loss check, so numpy's own
     # overflow warnings are noise here
     with np.errstate(over="ignore", invalid="ignore"):
-        for iteration in range(hyper.iterations):
+        for iteration in range(hyper.iterations + 1):
             alpha = _attention(y_prime, w_att, slope)
-            y_pp, masked = _forward(a_hat, alpha, x, w, slope)
+            y_pp, m_x = _forward(a_hat, alpha, x, w, slope)
             err = y_target - y_pp
             losses[iteration] = (err**2).mean(axis=(1, 2))
-
-            m_x = masked @ x
+            if iteration == hyper.iterations:
+                break
             w = w + mu * (err.swapaxes(1, 2) @ (m_x * (1.0 - m_x))).swapaxes(1, 2)
             g = deriv_prime * (mu * err) * x
             z = np.concatenate([g[:, pair_src], g[:, pair_dst]], axis=2).sum(axis=1) / (2.0 * n)
             w_att = w_att + z
-
-        alpha = _attention(y_prime, w_att, slope)
-        y_pp, _ = _forward(a_hat, alpha, x, w, slope)
-        final_losses = ((y_target - y_pp) ** 2).mean(axis=(1, 2))
     for k, seed in enumerate(seeds):
         diverged = np.flatnonzero(~np.isfinite(losses[:, k]))
         if diverged.size:
             raise DivergedTraining(int(diverged[0]), seed)
-        if not np.isfinite(final_losses[k]):
-            raise DivergedTraining(hyper.iterations, seed)
     return [
         AgcnState(
             w_att=w_att[k],
             w=w[k],
             alpha=alpha[k],
-            loss_history=losses[:, k].tolist(),
+            loss_history=losses[:-1, k].tolist(),
             y_pp=y_pp[k],
-            final_loss=float(final_losses[k]),
+            final_loss=float(losses[-1, k]),
         )
         for k in range(len(seeds))
     ]

@@ -191,8 +191,6 @@ def _ranking(table: NodeScoreTable) -> dict:
 
 
 def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
-    if graph.node_labels is None:
-        raise BadParameter("model has no 'labels' field; the attention method needs targets")
     if config.perturb_node is not None:
         features = agcn.perturb_features(features, config.perturb_node, config.perturb_factor)
     trained = agcn.train_seeds(graph, features, graph.node_labels, config.hyperparams(), config.seeds)
@@ -204,7 +202,7 @@ def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
 
     texts = (
         _csv(["iteration", "loss"], [[i, loss] for i, loss in enumerate(state.loss_history)]),
-        _csv([f"to_{j}" for j in range(graph.n)], [list(row) for row in state.alpha]),
+        _csv([f"to_{j}" for j in range(graph.n)], state.alpha.tolist()),
         _csv(
             ["node", "score", "rank"],
             [[node, table.scores[node], table.rank_of(node)] for node in range(graph.n)],
@@ -214,13 +212,13 @@ def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
         "representative_seed": representative,
         "perturb_node": config.perturb_node,
         "perturb_factor": config.perturb_factor if config.perturb_node is not None else None,
-        "alpha": [[float(v) for v in row] for row in state.alpha],
+        "alpha": state.alpha.tolist(),
         "seeds": {
             str(seed): {
                 "initial_loss": s.loss_history[0],
                 "final_loss": s.final_loss,
                 "converged": converged[seed],
-                "loss_history": [float(l) for l in s.loss_history],
+                "loss_history": s.loss_history,
                 **_ranking(tables[seed]),
             }
             for seed, s in states.items()
@@ -292,17 +290,23 @@ def run(config: AnalysisConfig) -> dict:
     written to a temporary file that then atomically replaces any summary.json
     already there.
 
-    A `perturb_node` outside the graph and a graph past the motif work bound
+    A `perturb_node` outside the graph, a model without labels with
+    `attention` selected, and a graph past the motif work bound
     (`motifs.check_size`) are refused before any method runs or any file or
     directory is written. The CSVs are written only once every method has
-    succeeded and the summary is encoded, so a run that raises writes none.
-    A run that succeeds also removes the CSVs of the methods it did not run
-    (and no other file), so no CSV of an earlier run outlives its summary.
+    succeeded and the summary is encoded, so a run that raises before then
+    writes none. A run that succeeds also removes the CSVs of the methods it
+    did not run (and no other file), so no CSV of an earlier run outlives its
+    summary. A file that cannot be written or removed (such as a directory in
+    its place) raises `BadParameter` naming `output_dir` and the file; what
+    the run wrote before it stays.
     """
     graph, features = load_model(config.model_path, config.variant)
     if config.perturb_node is not None:
         node = whole_number(config.perturb_node, "perturb_node", 0, graph.n - 1)
         config = replace(config, perturb_node=node)
+    if "attention" in config.methods and graph.node_labels is None:
+        raise BadParameter("model has no 'labels' field; the attention method needs targets")
     if "motifs" in config.methods:
         motifs.check_size(graph)
     out = Path(config.output_dir)
@@ -330,14 +334,20 @@ def run(config: AnalysisConfig) -> dict:
     if len(tables) >= 2:
         summary["concordance"] = asdict(concordance(tables, config.top_k))
     summary_text = json.dumps(summary, indent=2, sort_keys=True)  # before any write: it can raise
-    for name in METHODS.keys() - tables.keys():
-        for stale in ARTIFACTS[name]:
-            (out / stale).unlink(missing_ok=True)
-    for name in list(files):  # each text is dropped once written
-        text = files.pop(name)
-        with open(out / name, "w") as f:
-            f.writelines([text] if isinstance(text, str) else text)
-    _write_summary(out / "summary.json", summary_text)
+    stale = [file for method in METHODS.keys() - tables.keys() for file in ARTIFACTS[method]]
+    try:
+        for name in stale:
+            (out / name).unlink(missing_ok=True)
+        for name in list(files):  # each text is dropped once written
+            text = files.pop(name)
+            with open(out / name, "w") as f:
+                f.writelines([text] if isinstance(text, str) else text)
+        name = "summary.json"
+        _write_summary(out / name, summary_text)
+    except OSError as exc:
+        raise BadParameter(
+            f"output_dir {config.output_dir!r}: cannot write or remove {name}: {exc}"
+        ) from exc
     return summary
 
 

@@ -450,6 +450,18 @@ class TestTrainSeeds:
         assert_trains_like_the_oracle(graph, features, graph.node_labels, hyper, range(10))
         assert sizes == blocks
 
+    @pytest.mark.parametrize("block_bytes", [agcn.BLOCK_BYTES, 1])  # one block, or one per seed
+    def test_final_loss_is_the_next_iterations_last_loss(self, piezo, monkeypatch, block_bytes):
+        graph, features = piezo
+        monkeypatch.setattr(agcn, "BLOCK_BYTES", block_bytes)
+        k = 40
+        short, longer = (
+            train_seeds(graph, features, graph.node_labels, AgcnHyperparams(iterations=i), range(3))
+            for i in (k, k + 1)
+        )
+        for a, b in zip(short, longer, strict=True):
+            assert a.loss_history + [a.final_loss] == b.loss_history
+
     @pytest.mark.parametrize("block_bytes", [agcn.BLOCK_BYTES, 1])
     @pytest.mark.parametrize(
         "model, seeds, iterations, expected",

@@ -352,6 +352,14 @@ class TestRun:
             run(config)
         assert not out.exists()
 
+    def test_model_without_labels_refused_before_any_file(self, tmp_path, capsys):
+        model = write_model(tmp_path / "nolab.json", [[0.0, 1.0], [1.0, 0.0]])
+        out = tmp_path / "out"
+        assert main(["analyze", "--model", model, "--method", "attention,nstc", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "labels" in err
+        assert not out.exists()
+
     def test_motifs_score_a_17_node_path_zero(self, tmp_path):
         model = write_model(tmp_path / "m.json", np.eye(17, k=1))
         summary = run(AnalysisConfig(model_path=model, methods=("motifs",), output_dir=str(tmp_path)))
@@ -597,6 +605,19 @@ class TestCli:
         assert main(["analyze", "--model", "piezo", "--method", "nstc", "--out", str(out)]) == 1
         assert "output_dir" in capsys.readouterr().err
         assert out.read_text() == "not a directory"
+
+    # a directory, with a file in it, where nstc's CSV or the summary goes, or
+    # where the run removes the stale CSV of a method it does not run
+    @pytest.mark.parametrize("blocked", ["nstc.csv", "summary.json", "motif_costs.csv"])
+    def test_artifact_that_cannot_be_written_fails_with_diagnostic(self, tmp_path, capsys, blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        (out / blocked / "kept").write_text("kept")
+        assert main(["analyze", "--model", "piezo", "--method", "nstc", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: output_dir {str(out)!r}: ") and blocked in err
+        assert (out / blocked / "kept").read_text() == "kept"
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
     def test_bad_model_path_fails(self, tmp_path, capsys):
         code = main(
