@@ -172,11 +172,10 @@ def _imbalanced_scores(graph: SignedWeightedDigraph, max_length: int) -> list[li
             # a total that overflows fails below
             with np.errstate(over="ignore"):
                 np.add.at(total, nodes[imbalanced].ravel(), np.repeat(products[imbalanced], length))
+    degrees = [total_degree(graph, v) for v in range(graph.n)]
     scores = []
     for length, total in zip(lengths, totals):
-        scores.append(
-            [t / total_degree(graph, v) ** 2 if t else 0.0 for v, t in enumerate(total.tolist())]
-        )
+        scores.append([t / d**2 if t else 0.0 for d, t in zip(degrees, total.tolist())])
         for node, score in enumerate(scores[-1]):
             if not math.isfinite(score):
                 raise NumericalFailure(

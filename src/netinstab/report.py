@@ -59,9 +59,8 @@ class AnalysisConfig:
         object.__setattr__(self, "methods", sequence(self.methods, "methods"))
         if not self.methods or not all(isinstance(m, str) and m in METHODS for m in self.methods):
             raise BadParameter(f"methods must be some of {list(METHODS)}, got {self.methods}")
-        for name in ("delta_min", "delta_max", "delta_step", "perturb_factor", "learning_rate"):
+        for name in ("delta_min", "delta_max", "delta_step", "perturb_factor", "learning_rate", "leaky_slope"):
             object.__setattr__(self, name, real_number(getattr(self, name), name))
-        object.__setattr__(self, "leaky_slope", real_number(self.leaky_slope, "leaky_slope"))
         if self.delta_step <= 0:
             raise BadParameter(f"delta_step must be > 0, got {self.delta_step}")
         self.delta_grid()
@@ -170,18 +169,6 @@ def _walk_csv(walks: Walks, weights):
         yield "".join(map("%s,%s,%s,%s,%.6g\n".__mod__, rows))
 
 
-def _write_summary(path: Path, text: str) -> None:
-    """Write `text` into a temporary file that then replaces `path`."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _ranking(table: NodeScoreTable) -> dict:
     """The summary's per-node `scores` and 1-based `ranks` of a table."""
     return {
@@ -286,20 +273,20 @@ def run(config: AnalysisConfig) -> dict:
     count per start node (`n_paths`), and the file alone lists them.
     Deterministic given the config.
 
-    summary.json holds exactly `json.dumps(summary, indent=2, sort_keys=True)`,
-    written to a temporary file that then atomically replaces any summary.json
-    already there.
+    summary.json holds exactly `json.dumps(summary, indent=2, sort_keys=True)`.
 
     A `perturb_node` outside the graph, a model without labels with
     `attention` selected, and a graph past the motif work bound
     (`motifs.check_size`) are refused before any method runs or any file or
-    directory is written. The CSVs are written only once every method has
-    succeeded and the summary is encoded, so a run that raises before then
-    writes none. A run that succeeds also removes the CSVs of the methods it
-    did not run (and no other file), so no CSV of an earlier run outlives its
-    summary. A file that cannot be written or removed (such as a directory in
-    its place) raises `BadParameter` naming `output_dir` and the file; what
-    the run wrote before it stays.
+    directory is written. Once every method has succeeded and the summary is
+    encoded, every file is written under a temporary name in the output
+    directory; only when all are written are the CSVs of the methods not run
+    removed (and no other file) and the files renamed into place, summary.json
+    last. So no CSV of an earlier run outlives its summary, and a run that
+    fails leaves the output directory's files as they were. A file that cannot
+    be written or removed (such as a directory in its place, which is looked
+    for before anything is written) raises `BadParameter` naming `output_dir`
+    and the file.
     """
     graph, features = load_model(config.model_path, config.variant)
     if config.perturb_node is not None:
@@ -333,21 +320,29 @@ def run(config: AnalysisConfig) -> dict:
     }
     if len(tables) >= 2:
         summary["concordance"] = asdict(concordance(tables, config.top_k))
-    summary_text = json.dumps(summary, indent=2, sort_keys=True)  # before any write: it can raise
+    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True)  # it can raise: before any write
     stale = [file for method in METHODS.keys() - tables.keys() for file in ARTIFACTS[method]]
+    tmp = {name: out / f".{name}.{os.getpid()}.tmp" for name in files}
     try:
+        # a directory in the way is the one rename or removal failure a user can cause
+        for name in [*tmp, *stale]:
+            if (out / name).is_dir():
+                raise IsADirectoryError(f"{out / name} is a directory")
+        for name, path in tmp.items():  # each text is dropped once written
+            text = files.pop(name)
+            with open(path, "w", encoding="utf-8") as f:
+                f.writelines([text] if isinstance(text, str) else text)
         for name in stale:
             (out / name).unlink(missing_ok=True)
-        for name in list(files):  # each text is dropped once written
-            text = files.pop(name)
-            with open(out / name, "w") as f:
-                f.writelines([text] if isinstance(text, str) else text)
-        name = "summary.json"
-        _write_summary(out / name, summary_text)
+        for name, path in tmp.items():  # summary.json, added last, goes in last
+            os.replace(path, out / name)
     except OSError as exc:
         raise BadParameter(
             f"output_dir {config.output_dir!r}: cannot write or remove {name}: {exc}"
         ) from exc
+    finally:
+        for path in tmp.values():
+            path.unlink(missing_ok=True)
     return summary
 
 

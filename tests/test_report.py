@@ -41,7 +41,6 @@ from netinstab.report import (
     CONVERGENCE_LOSS,
     MAX_DELTA_POINTS,
     _csv,
-    _write_summary,
     concordance_from_summary,
     run,
     tables_from_summary,
@@ -499,14 +498,31 @@ class TestRun:
 
 
 class TestSummaryWriter:
-    def test_failed_write_leaves_the_old_file(self, tmp_path):
-        path = tmp_path / "summary.json"
-        path.write_text("old")
+    def test_failed_write_keeps_every_old_file(self, tmp_path):
+        run(AnalysisConfig(methods=("motifs",), output_dir=str(tmp_path)))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        opened = []
+
+        def open_fails_second(*args, **kwargs):
+            opened.append(args[0])
+            if len(opened) == 2:
+                raise OSError("disk full")
+            return open(*args, **kwargs)
+
+        with mock.patch("netinstab.report.open", open_fails_second, create=True):
+            with pytest.raises(BadParameter, match="disk full"):
+                run(AnalysisConfig(methods=("nstc",), output_dir=str(tmp_path)))
+        # the stale motif_costs.csv and the old summary stay, and no new or .tmp file appears
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_rename_keeps_every_old_file(self, tmp_path):
+        run(AnalysisConfig(methods=("nstc",), output_dir=str(tmp_path)))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with mock.patch("netinstab.report.os.replace", side_effect=OSError("disk full")):
-            with pytest.raises(OSError, match="disk full"):
-                _write_summary(path, "{}")
-        assert path.read_text() == "old"
-        assert os.listdir(tmp_path) == ["summary.json"]
+            with pytest.raises(BadParameter, match="disk full"):  # top_k=3 changes summary.json
+                run(AnalysisConfig(methods=("nstc",), top_k=3, output_dir=str(tmp_path)))
+        # every temporary file, all of them written by then, is removed
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_several_default_chunks(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -613,11 +629,16 @@ class TestCli:
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
         (out / blocked / "kept").write_text("kept")
+        names = ("summary.json", "nstc.csv", "walk_tree.csv", "motif_costs.csv")
+        old = {name: b"old" for name in names if name != blocked}
+        for name, data in old.items():
+            (out / name).write_bytes(data)
         assert main(["analyze", "--model", "piezo", "--method", "nstc", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: output_dir {str(out)!r}: ") and blocked in err
         assert (out / blocked / "kept").read_text() == "kept"
-        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+        # every old file is as it was, and no new or .tmp file appears
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == old
 
     def test_bad_model_path_fails(self, tmp_path, capsys):
         code = main(
