@@ -60,11 +60,13 @@ class AgcnHyperparams:
     iterations: int = 500
 
     def __post_init__(self):
-        if not 0.0 < real_number(self.leaky_slope, "leaky_slope") < 1.0:
+        for name in ("leaky_slope", "learning_rate"):
+            object.__setattr__(self, name, real_number(getattr(self, name), name))
+        object.__setattr__(self, "iterations", whole_number(self.iterations, "iterations", 1))
+        if not 0.0 < self.leaky_slope < 1.0:
             raise BadParameter(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
-        if real_number(self.learning_rate, "learning_rate") < 0.0:
+        if self.learning_rate < 0.0:
             raise BadParameter(f"learning_rate must be >= 0, got {self.learning_rate}")
-        whole_number(self.iterations, "iterations", 1)
 
 
 def check_seeds(seeds: Iterable[int]) -> tuple[int, ...]:

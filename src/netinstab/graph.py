@@ -86,11 +86,14 @@ def load_model(source, variant: str = "appendix") -> tuple[SignedWeightedDigraph
     `source` is either a path to a model JSON document or the bundled-fixture
     alias "piezo". For the alias `variant` selects the appendix fixture as
     bundled or with entry (3, 1) negated (`printed`); a path, including the
-    bundled fixture's own, is loaded as-is and `variant` has no effect.
+    bundled fixture's own, is loaded as-is, so any `variant` but `appendix`
+    is refused for it.
     """
     if variant not in VARIANTS:
         raise BadParameter(f"variant must be one of {VARIANTS}, got {variant!r}")
     alias = str(source) == _FIXTURE_ALIAS
+    if not alias and variant != "appendix":
+        raise BadParameter(f"variant {variant!r} applies only to model 'piezo', not to {str(source)!r}")
     doc = read_json(fixture_path() if alias else source, "model", MalformedModel)
     if alias and variant == "printed":
         i, j = _PRINTED_SIGN_FLIP
@@ -159,7 +162,7 @@ def perturb_column(graph: SignedWeightedDigraph, node: int, delta: float) -> Sig
     the input graph is left untouched.
     """
     _check_node(graph, node)
-    real_number(delta, "delta")
+    delta = real_number(delta, "delta")
     w = graph.weights.copy()
     mask = w[:, node] != 0
     w[mask, node] += delta

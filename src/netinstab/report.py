@@ -24,8 +24,9 @@ from . import agcn, motifs, spectral, walks
 from .errors import BadParameter, real_number, sequence, whole_number
 from .graph import load_model
 from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
-from .walks import WALK_COLUMNS, Walks
+from .walks import Walks
 
+WALK_COLUMNS = ("start", "mid", "end", "w1", "w2", "product")  # walk_tree.csv's header
 _WALK_CHUNK_ROWS = 1024  # walk rows formatted per block, which bounds the text held at once
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
 # each grid point but delta = 0 costs one verified O(n^3) eigen-solve per node
@@ -143,7 +144,8 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _walk_csv(walks: Walks, weights):
-    """The text of `walk_tree.csv`, in pieces: `_csv` of `walks.rows()`, with every number `%.6g`.
+    """The text of `walk_tree.csv`, in pieces: `_csv` of one (start, mid, end, w1, w2, product)
+    row per walk, where w1 and w2 are the `weights` of its two edges, every number `%.6g`.
 
     Each node index and each edge's weight and (start, mid) pair are formatted
     once, into tables read by edge id; each row then takes one `%`-format call

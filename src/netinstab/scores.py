@@ -19,7 +19,6 @@ from .errors import BadParameter, real_number, sequence, whole_number
 
 @dataclass(frozen=True)
 class NodeScoreTable:
-    method: str
     scores: tuple  # raw per-node score, None where undefined
     order: tuple[int, ...]  # node indices from rank 1 to rank n
 
@@ -58,7 +57,7 @@ def ranked_table(method: str, scores) -> NodeScoreTable:
         return (s is None, sign * s if s is not None else 0.0, node)
 
     order = tuple(sorted(range(len(vals)), key=key))
-    return NodeScoreTable(method=method, scores=tuple(vals), order=order)
+    return NodeScoreTable(scores=tuple(vals), order=order)
 
 
 def average_ranks(table: NodeScoreTable) -> np.ndarray:

@@ -24,8 +24,6 @@ from .errors import NumericalFailure
 from .graph import SignedWeightedDigraph, _check_node
 from .scores import NodeScoreTable, ranked_table
 
-WALK_COLUMNS = ("start", "mid", "end", "w1", "w2", "product")
-
 
 @dataclass(frozen=True)
 class TwoStepWalk:
@@ -42,21 +40,16 @@ class TwoStepWalk:
 
 @dataclass(frozen=True)
 class Walks:
-    """Two-step walks as parallel columns, sorted by (start, mid, end)."""
+    """Two-step walks as parallel columns, sorted by (start, mid, end); the edge
+    weights stay in the graph."""
 
     start: np.ndarray
     mid: np.ndarray
     end: np.ndarray
-    w1: np.ndarray  # weight of start -> mid
-    w2: np.ndarray  # weight of mid -> end
-    product: np.ndarray  # w1 * w2
+    product: np.ndarray  # weights[start, mid] * weights[mid, end]
 
     def __len__(self) -> int:
         return len(self.start)
-
-    def rows(self) -> list[tuple]:
-        """One (start, mid, end, w1, w2, product) tuple of Python numbers per walk."""
-        return list(zip(*(getattr(self, c).tolist() for c in WALK_COLUMNS)))
 
 
 @dataclass(frozen=True)
@@ -75,9 +68,8 @@ def _enumerate(graph: SignedWeightedDigraph, starts: range) -> Walks:
     # row-major nonzero keeps (start, mid, end) order; row p of the mask is walk prefix k[p] -> i[p]
     p, end = np.nonzero(edge[i] & (np.arange(graph.n) != k[:, None]))
     start, mid = k[p], i[p]
-    w1, w2 = w[start, mid], w[mid, end]
     with np.errstate(over="ignore"):  # an infinite product fails in `_nstc_rows`, not here
-        return Walks(start, mid, end, w1, w2, w1 * w2)
+        return Walks(start, mid, end, w[start, mid] * w[mid, end])
 
 
 def all_walks(graph: SignedWeightedDigraph) -> Walks:
@@ -89,19 +81,19 @@ def two_step_walks(graph: SignedWeightedDigraph, start: int) -> list[TwoStepWalk
     """Exhaustive, deterministic enumeration of two-step walks from `start`."""
     _check_node(graph, start)
     walks = _enumerate(graph, range(start, start + 1))
-    return [TwoStepWalk(*row[:5]) for row in walks.rows()]
+    k, i, j, w = walks.start, walks.mid, walks.end, graph.weights
+    return [TwoStepWalk(*row) for row in zip(*(c.tolist() for c in (k, i, j, w[k, i], w[i, j])))]
 
 
 def _nstc_rows(walks: Walks, nodes: range) -> list[NstcRow]:
     """The NSTC row of each of `nodes`, from the walks that start at them."""
     bounds = np.searchsorted(walks.start, np.arange(nodes.start, nodes.stop + 1)).tolist()
-    products = walks.product.tolist()
     rows = []
     for node, lo, hi in zip(nodes, bounds, bounds[1:]):
         if lo == hi:
             rows.append(NstcRow(node=node, n_paths=0, nstc=0.0, no_walks=True))
             continue
-        mean = sum(products[lo:hi]) / (hi - lo)
+        mean = sum(walks.product[lo:hi].tolist()) / (hi - lo)
         # weights are finite and nonzero, so a product overflows to +-inf, never nan, and its
         # node's mean is then non-finite too; checking the mean also catches an overflowing sum
         if not math.isfinite(mean):

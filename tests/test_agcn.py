@@ -1,4 +1,5 @@
 from dataclasses import fields
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -373,6 +374,15 @@ class TestTrain:
             AgcnHyperparams(learning_rate=-1.0)
         with pytest.raises(BadParameter):
             AgcnHyperparams(iterations=0)
+
+    def test_fraction_hyperparams_train_like_their_floats(self, piezo):
+        graph, features = piezo
+        exact = AgcnHyperparams(leaky_slope=Fraction(1, 100), learning_rate=Fraction(1, 2), iterations=30)
+        assert (exact.leaky_slope, exact.learning_rate) == (0.01, 0.5)
+        a = train(graph, features, graph.node_labels, exact, 4)
+        b = train(graph, features, graph.node_labels, AgcnHyperparams(iterations=30), 4)
+        for field in fields(AgcnState):
+            assert np.asarray(getattr(a, field.name)).tobytes() == np.asarray(getattr(b, field.name)).tobytes()
 
     @pytest.mark.parametrize(
         "field, value",

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,9 +137,11 @@ class TestLoadModel:
         with pytest.raises(BadParameter):
             load_model("piezo", "typo")
 
-    def test_fixture_path_is_loaded_as_given(self):
-        # only the "piezo" alias selects by variant; a fixture's own path is read as-is
-        graph, _ = load_model(fixture_path(), "printed")
+    def test_fixture_path_refuses_printed(self):
+        # only the "piezo" alias selects by variant; a path, the fixture's own too, is read as-is
+        with pytest.raises(BadParameter, match="variant 'printed' applies only to model 'piezo'"):
+            load_model(fixture_path(), "printed")
+        graph, _ = load_model(fixture_path(), "appendix")
         assert graph.weights[3, 1] == pytest.approx(+1.3083)
 
     @pytest.mark.parametrize("variant", ["appendix", "printed"])
@@ -218,6 +221,10 @@ class TestPerturbColumn:
     def test_nonfinite_delta(self, piezo):
         with pytest.raises(BadParameter):
             perturb_column(piezo[0], 0, np.inf)
+
+    def test_fraction_delta_equals_its_float(self, piezo):
+        out = perturb_column(piezo[0], 1, Fraction(1, 2))
+        assert out.weights.tobytes() == perturb_column(piezo[0], 1, 0.5).weights.tobytes()
 
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)

@@ -40,15 +40,15 @@ from netinstab.report import (
     _WALK_CHUNK_ROWS,
     CONVERGENCE_LOSS,
     MAX_DELTA_POINTS,
+    WALK_COLUMNS,
     _csv,
     concordance_from_summary,
     run,
     tables_from_summary,
 )
-from netinstab.walks import WALK_COLUMNS, all_walks
 from conftest import random_signed_digraph_weights
 from test_agcn import sequential_train
-from test_walks import extreme_digraphs
+from test_walks import extreme_digraphs, oracle_walk_rows
 
 
 def write_model(path, weights):
@@ -527,11 +527,11 @@ class TestSummaryWriter:
     def test_several_default_chunks(self, tmp_path):
         rng = np.random.default_rng(5)
         graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, 30, density=1.0))
-        walks = all_walks(graph)
-        assert len(walks) > 4 * _WALK_CHUNK_ROWS
+        rows = oracle_walk_rows(graph.weights)
+        assert len(rows) > 4 * _WALK_CHUNK_ROWS
         model = write_model(tmp_path / "model.json", graph.weights)
         summary = run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(tmp_path)))
-        assert (tmp_path / "walk_tree.csv").read_text() == _csv(list(WALK_COLUMNS), walks.rows())
+        assert (tmp_path / "walk_tree.csv").read_text() == _csv(list(WALK_COLUMNS), rows)
         expected = json.dumps(summary, indent=2, sort_keys=True)
         assert (tmp_path / "summary.json").read_text() == expected
 
@@ -546,8 +546,8 @@ class TestSummaryWriter:
             except NumericalFailure:  # an overflowing product or mean is refused before any write
                 assert os.listdir(out) == []
                 return
-            walks = all_walks(graph)
-            assert (out / "walk_tree.csv").read_text() == _csv(list(WALK_COLUMNS), walks.rows())
+            rows = oracle_walk_rows(graph.weights)
+            assert (out / "walk_tree.csv").read_text() == _csv(list(WALK_COLUMNS), rows)
             expected = json.dumps(summary, indent=2, sort_keys=True).encode()
             assert (out / "summary.json").read_bytes() == expected
 
@@ -608,6 +608,14 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         expected = AnalysisConfig(model_path="piezo", methods=("nstc",), output_dir=str(out))
         assert summary["config"] == json.loads(json.dumps(asdict(expected)))
+
+    def test_variant_of_a_model_file_fails_before_out(self, tmp_path, capsys):
+        model = write_model(tmp_path / "n1.json", [[0.5]])
+        argv = ["analyze", "--model", model, "--variant", "printed", "--method", "nstc"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: variant 'printed'") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_seed_fails(self, tmp_path, capsys):
         argv = ["analyze", "--model", "piezo", "--method", "attention", "--seed", "1", "1"]

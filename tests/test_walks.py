@@ -18,8 +18,8 @@ from netinstab import (
     two_step_walks,
 )
 from netinstab.cli import main
-from netinstab.report import AnalysisConfig, _csv, _walk_csv, run
-from netinstab.walks import WALK_COLUMNS, all_walks
+from netinstab.report import WALK_COLUMNS, AnalysisConfig, _csv, _walk_csv, run
+from netinstab.walks import all_walks
 from conftest import random_signed_digraph_weights
 
 APPENDIX_NSTC = {
@@ -47,6 +47,13 @@ def oracle_walks(weights, start):
             continue
         found.append((k, i, j, weights[k, i], weights[i, j]))
     return found
+
+
+def oracle_walk_rows(weights):
+    """The oracle's walks from every start, as `walk_tree.csv` rows: (start, mid, end, w1, w2, product)."""
+    n = weights.shape[0]
+    walks = [w for start in range(n) for w in oracle_walks(weights, start)]
+    return [(k, i, j, w1, w2, float(w1) * float(w2)) for k, i, j, w1, w2 in walks]
 
 
 def oracle_nstc(weights, node):
@@ -167,11 +174,13 @@ class TestVectorisedWalks:
     @settings(max_examples=150, deadline=None)
     def test_columns_equal_oracle_in_order(self, graph):
         walks = all_walks(graph)
-        rows = walks.rows()
-        expected = [w for start in range(graph.n) for w in oracle_walks(graph.weights, start)]
-        assert [row[:5] for row in rows] == expected
+        expected = oracle_walk_rows(graph.weights)
+        got = list(zip(walks.start.tolist(), walks.mid.tolist(), walks.end.tolist()))
+        assert got == [row[:3] for row in expected]
         assert len(walks) == len(expected)
-        assert [row[5] for row in rows] == [w1 * w2 for *_, w1, w2, _ in rows]
+        w = graph.weights
+        product = w[walks.start, walks.mid] * w[walks.mid, walks.end]
+        assert walks.product.tobytes() == product.tobytes()
 
     @given(graph=signed_digraphs())
     @example(graph=SignedWeightedDigraph(weights=np.array([[0.0]])))
@@ -188,7 +197,7 @@ class TestVectorisedWalks:
         walks = all_walks(graph)
         with mock.patch("netinstab.report._WALK_CHUNK_ROWS", chunk_rows):
             text = "".join(_walk_csv(walks, graph.weights))
-        assert text == _csv(list(WALK_COLUMNS), walks.rows())
+        assert text == _csv(list(WALK_COLUMNS), oracle_walk_rows(graph.weights))
 
 
 OVERFLOWING = {
