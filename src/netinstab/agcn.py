@@ -17,16 +17,22 @@ The pipeline, per forward pass:
 
 Training nudges both parameter blocks with delta-rule style updates built
 from the prediction error and output*(1-output) derivative surrogates; it is
-deliberately not an exact-gradient method. All softmax outputs are
-nonnegative and sum to 1 along their axis to within 1e-9.
+deliberately not an exact-gradient method. The attention update sums the
+per-node contributions G over the ordered pairs (i, j) of the self-looped
+graph, G_i into the first half of w_att and G_j into the second; that is
+the degree-weighted sum [out_deg G, in_deg G], one small product with the
+2 x n degree counts per iteration rather than a gather of one row per pair.
+All softmax outputs are nonnegative and sum to 1 along their axis to
+within 1e-9.
 
 Training seeds run together in one loop (`train_seeds`), in blocks of as
-many seeds as keep each stacked array under about BLOCK_BYTES. On small
-graphs such as the paper's 8-node model every seed is in one block, which
-saves numpy's per-call overhead; from about n = 360 on a block holds one
-seed, so memory does not grow with the number of seeds. Within a block
-the parameters carry a leading seed axis, and M_X = (A_hat * alpha) X
-(formed once per pass, for the prediction and the w update), the prediction
+many seeds as keep each stacked array under about BLOCK_BYTES, counting
+8 n max(n, f) bytes a seed for the n x n and n x f arrays. On small graphs
+such as the paper's 8-node model every seed is in one block, which saves
+numpy's per-call overhead; from n = 257 on (with f <= n) a block holds one
+seed, so memory does not grow with the number of seeds. Within a block the
+parameters carry a leading seed axis, and M_X = (A_hat * alpha) X (formed
+once per pass, for the prediction and the w update), the prediction
 softmax, both updates and the loss are stacked arrays over the seeds. The
 last of the iterations + 1 passes gives the final alpha, prediction and loss
 and updates nothing. A seed's results do not depend on its block: numpy runs
@@ -159,11 +165,18 @@ def normalize_adjacency(graph: SignedWeightedDigraph) -> np.ndarray:
     """Self-looped weight matrix scaled symmetrically by absolute-value row sums.
 
     Returns D^{-1/2} (A + I) D^{-1/2} with D_ii = sum_j |A + I|_ij. Absolute
-    values keep the scaling real on signed weights; D_ii >= 1 always holds
-    because of the added identity.
+    values keep the scaling real on signed weights. Raises `BadParameter`
+    naming the first adjacency row whose D_ii is not finite in float64, which
+    would scale that row to zero, or is zero (a -1 self-loop, which the
+    identity cancels, and no other edge), which would make A_hat NaN.
     """
     a_tilde = graph.weights + np.eye(graph.n)
-    d = np.abs(a_tilde).sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowing row sum is refused below
+        d = np.abs(a_tilde).sum(axis=1)
+    bad = np.flatnonzero(~(np.isfinite(d) & (d > 0)))
+    if bad.size:
+        why = "is zero in A + I" if d[bad[0]] == 0 else "is not finite in float64"
+        raise BadParameter(f"adjacency row {bad[0]} cannot be normalized: its absolute sum {why}")
     inv_sqrt = 1.0 / np.sqrt(d)
     return inv_sqrt[:, None] * a_tilde * inv_sqrt[None, :]
 
@@ -214,8 +227,10 @@ def train(
     * convolution: w += mu * ((err^T (M_X * (1 - M_X)))^T) with
       M_X = (A_hat * alpha) X from the forward pass, err = targets - prediction;
     * attention: per-node contributions G = Y'(1 - Y') * mu * err * X are
-      concatenated over the ordered pairs (i, j) connected in the self-looped
-      weight matrix and summed, normalized by 2n, and added to w_att.
+      summed over the ordered pairs (i, j) connected in the self-looped
+      weight matrix, (G_i || G_j) per pair, normalized by 2n, and added to
+      w_att. The sum is taken by degree: w_att += [out_deg G, in_deg G] / 2n,
+      with the out- and in-degree counts of the self-looped graph.
 
     The returned state carries one recorded loss per iteration (each
     measured before that iteration's update), and the alpha, prediction and
@@ -258,24 +273,23 @@ def train_seeds(
     if y_target.shape[0] != n:
         raise BadParameter(f"targets must have length {n}, got {y_target.shape[0]}")
     a_hat = normalize_adjacency(graph)
-    pairs = np.nonzero(graph.weights + np.eye(n))  # ordered pairs of the self-looped graph
+    looped = (graph.weights + np.eye(n)) != 0  # the edges of the self-looped graph
+    degrees = np.stack([looped.sum(axis=1), looped.sum(axis=0)]).astype(float)  # out, in
     y_prime = self_attention_embed(features, hyper).y_prime
-    # per seed, the larger of the n x n arrays and the concatenated pair contributions
-    seed_bytes = 8 * max(n * n, 2 * f * pairs[0].size)
-    block = max(1, BLOCK_BYTES // seed_bytes)
+    # per seed, the larger of the n x n arrays and the n x f ones (M_X, G)
+    block = max(1, BLOCK_BYTES // (8 * n * max(n, f)))
     y_target = y_target.reshape(-1, 1)
     states = []
     for start in range(0, len(seeds), block):
         block_seeds = seeds[start : start + block]
-        states += _train_block(a_hat, pairs, y_prime, x, y_target, hyper, block_seeds)
+        states += _train_block(a_hat, degrees, y_prime, x, y_target, hyper, block_seeds)
     return states
 
 
-def _train_block(a_hat, pairs, y_prime, x, y_target, hyper: AgcnHyperparams, seeds) -> list:
-    """The training loop of `train_seeds` for one block of seeds."""
+def _train_block(a_hat, degrees, y_prime, x, y_target, hyper: AgcnHyperparams, seeds) -> list:
+    """The training loop of `train_seeds` for one block of seeds, with the (2, n) `degrees`."""
     n, f = x.shape
     mu, slope = hyper.learning_rate, hyper.leaky_slope
-    pair_src, pair_dst = pairs
     rngs = [np.random.default_rng(seed) for seed in seeds]  # each draws w_att, then w
     w_att = np.stack([rng.uniform(-INIT_RANGE, INIT_RANGE, size=2 * f) for rng in rngs])
     w = np.stack([rng.uniform(-INIT_RANGE, INIT_RANGE, size=(f, 1)) for rng in rngs])
@@ -294,8 +308,7 @@ def _train_block(a_hat, pairs, y_prime, x, y_target, hyper: AgcnHyperparams, see
                 break
             w = w + mu * (err.swapaxes(1, 2) @ (m_x * (1.0 - m_x))).swapaxes(1, 2)
             g = deriv_prime * (mu * err) * x
-            z = np.concatenate([g[:, pair_src], g[:, pair_dst]], axis=2).sum(axis=1) / (2.0 * n)
-            w_att = w_att + z
+            w_att = w_att + (degrees @ g).reshape(len(seeds), 2 * f) / (2.0 * n)
     for k, seed in enumerate(seeds):
         diverged = np.flatnonzero(~np.isfinite(losses[:, k]))
         if diverged.size:
@@ -314,10 +327,16 @@ def _train_block(a_hat, pairs, y_prime, x, y_target, hyper: AgcnHyperparams, see
 
 
 def perturb_features(features: FeatureMatrix, node: int, factor: float = 2.0) -> FeatureMatrix:
-    """Copy of the feature table with one node's feature row multiplied by factor."""
+    """Copy of the feature table with one node's feature row multiplied by factor.
+
+    Raises `BadParameter` naming `factor` if the product overflows float64.
+    """
     x = features.values.copy()
     whole_number(node, "perturb node", 0, x.shape[0] - 1)
-    x[node, :] *= real_number(factor, "factor")
+    with np.errstate(over="ignore"):  # an overflowing product is refused below
+        x[node, :] *= real_number(factor, "factor")
+    if not np.isfinite(x[node]).all():
+        raise BadParameter(f"factor {factor!r} overflows node {node}'s features in float64")
     return FeatureMatrix(values=x)
 
 

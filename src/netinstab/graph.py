@@ -159,13 +159,17 @@ def perturb_column(graph: SignedWeightedDigraph, node: int, delta: float) -> Sig
     """Return a copy with `delta` added to every nonzero entry of column `node`.
 
     Structural zeros in the column stay zero and no other column changes;
-    the input graph is left untouched.
+    the input graph is left untouched. Raises `BadParameter` naming `delta`
+    if a shifted weight overflows float64.
     """
     _check_node(graph, node)
     delta = real_number(delta, "delta")
     w = graph.weights.copy()
     mask = w[:, node] != 0
-    w[mask, node] += delta
+    with np.errstate(over="ignore"):  # an overflowing weight is refused below
+        w[mask, node] += delta
+    if not np.isfinite(w[:, node]).all():
+        raise BadParameter(f"delta {delta!r} overflows a weight of column {node} in float64")
     return SignedWeightedDigraph(weights=w, node_labels=graph.node_labels)
 
 

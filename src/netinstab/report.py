@@ -376,6 +376,7 @@ def concordance_from_summary(summary: dict, top_k: int | None = None) -> Concord
     if len(tables) < 2:
         raise BadParameter("summary holds fewer than two method score tables")
     if top_k is None:
-        top_k = _json_object(summary.get("config", {}), "field 'config'").get("top_k", 2)
+        config = _json_object(summary.get("config", {}), "field 'config'")
+        top_k = config.get("top_k", AnalysisConfig.top_k)
         whole_number(top_k, "summary field 'config.top_k'", 1)
     return concordance(tables, top_k)

@@ -122,8 +122,8 @@ def perturbation_sweep(graph: SignedWeightedDigraph, deltas) -> PerturbationSwee
     delta=0 matrix is the same for every node, so it is solved once and its
     cell is shared by all nodes (a failure there marks every node's delta=0
     cell "failed"); every other cell is its own solve. A cell whose
-    eigenvalue computation fails is marked "failed" without aborting the
-    other cells.
+    perturbed column overflows float64, or whose eigenvalue computation
+    fails, is marked "failed" without aborting the other cells.
     """
     deltas = number_table(deltas, "deltas")
     if deltas.ndim != 1:
@@ -132,6 +132,8 @@ def perturbation_sweep(graph: SignedWeightedDigraph, deltas) -> PerturbationSwee
     grid = sorted(set(deltas.tolist()) | {0.0})
 
     def cell(node: int, delta: float, w: np.ndarray) -> SweepCell:
+        if not np.isfinite(w).all():  # the perturbed column overflowed float64
+            return SweepCell(node, delta, None, "failed")
         try:
             value = largest_negative_eigenvalue(eigenvalues(w))
         except NumericalFailure:
@@ -149,7 +151,8 @@ def perturbation_sweep(graph: SignedWeightedDigraph, deltas) -> PerturbationSwee
                 cells[(node, delta)] = replace(base, node=node)
             else:
                 w = graph.weights.copy()
-                w[:, node] += delta
+                with np.errstate(over="ignore"):  # an overflowing cell is marked failed
+                    w[:, node] += delta
                 cells[(node, delta)] = cell(node, delta, w)
     return PerturbationSweepTable(deltas=tuple(grid), nodes=nodes, cells=cells)
 

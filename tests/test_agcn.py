@@ -52,12 +52,19 @@ def _one_seed_forward(a_hat, alpha, x, w, slope):
     return y_pp, masked
 
 
+def pair_degrees(graph):
+    """Out- and in-degree counts (2 x n) of the ordered pairs of the self-looped graph."""
+    pair_src, pair_dst = np.nonzero(graph.weights + np.eye(graph.n))
+    return np.stack([np.bincount(pair_src, minlength=graph.n), np.bincount(pair_dst, minlength=graph.n)])
+
+
 def sequential_train(graph, features, targets, hyper, seed):
     """Train one seed with no seed axis: the oracle for `train_seeds`.
 
     The same updates as `agcn.train_seeds`, with its own forward pass and
     attention, so that the stacked code is checked against code that has no
-    seed axis at all.
+    seed axis at all. Its degrees come from `pair_degrees`, not from the
+    code under test.
     """
     x = features.values
     n, f = x.shape
@@ -69,8 +76,7 @@ def sequential_train(graph, features, targets, hyper, seed):
     w = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(f, 1))
 
     a_hat = normalize_adjacency(graph)
-    a_tilde = graph.weights + np.eye(n)
-    pair_src, pair_dst = np.nonzero(a_tilde)
+    degrees = pair_degrees(graph).astype(float)
     y_prime = self_attention_embed(features, hyper).y_prime
     deriv_prime = y_prime * (1.0 - y_prime)
 
@@ -88,8 +94,7 @@ def sequential_train(graph, features, targets, hyper, seed):
             m_x = masked @ x
             w = w + mu * (err.T @ (m_x * (1.0 - m_x))).T
             g = deriv_prime * (mu * err) * x
-            z = np.concatenate([g[pair_src], g[pair_dst]], axis=1).sum(axis=0) / (2.0 * n)
-            w_att = w_att + z
+            w_att = w_att + (degrees @ g).reshape(2 * f) / (2.0 * n)
 
         alpha = _one_seed_attention(y_prime, w_att, hyper.leaky_slope)
         y_pp, _ = _one_seed_forward(a_hat, alpha, x, w, hyper.leaky_slope)
@@ -259,6 +264,29 @@ class TestNormalizeAdjacency:
         out = normalize_adjacency(g)
         assert np.allclose(out, out.T, atol=1e-12)
 
+    def test_overflowing_row_sum_is_refused_naming_the_row(self):
+        w = np.zeros((3, 3))
+        w[1, [0, 2]] = 1.5e308  # row 1's absolute sum overflows; each weight is finite
+        with pytest.raises(BadParameter, match="^adjacency row 1 cannot be normalized: .* not finite"):
+            normalize_adjacency(SignedWeightedDigraph(weights=w))
+
+    def test_row_cancelled_to_zero_is_refused_naming_the_row(self):
+        # row 1 of A + I is zero, so D_11 = 0 and its scaling 1 / sqrt(D_11) would be inf
+        graph = SignedWeightedDigraph(weights=[[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(BadParameter, match="^adjacency row 1 cannot be normalized: .* is zero"):
+            normalize_adjacency(graph)
+
+    def test_analyze_exits_1_on_an_overflowing_row(self, tmp_path, capsys):
+        w = np.zeros((3, 3))
+        w[0, [1, 2]] = 1.5e308
+        model = tmp_path / "model.json"
+        graph = SignedWeightedDigraph(weights=w, node_labels=[0.2, 0.3, 0.5])
+        save_model(model, graph, FeatureMatrix(values=[[1.0], [2.0], [3.0]]))
+        argv = ["analyze", "--model", str(model), "--method", "attention", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: adjacency row 0 cannot be normalized") and "Traceback" not in err
+
 
 class TestForward:
     def _state(self, graph, features, w_att, w):
@@ -362,6 +390,18 @@ class TestTrain:
             with pytest.raises(BadParameter, match="perturb node must be an integer from 0 to 7"):
                 perturb_features(features, node)
 
+    def test_overflowing_perturbation_names_the_factor(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        graph = SignedWeightedDigraph(weights=[[0.0, 1.0], [1.0, 0.0]], node_labels=[0.5, 0.5])
+        save_model(model, graph, FeatureMatrix(values=[[1e300], [1.0]]))
+        out = tmp_path / "out"
+        argv = ["analyze", "--model", str(model), "--method", "attention", "--out", str(out),
+                "--perturb-node", "0", "--perturb-factor", "1e10"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: factor 10000000000.0 overflows node 0's features")
+        assert "Traceback" not in err
+
     def test_target_length_mismatch(self, piezo):
         graph, features = piezo
         with pytest.raises(BadParameter):
@@ -444,6 +484,86 @@ class TestTrainSeeds:
         hyper = AgcnHyperparams(iterations=iterations, learning_rate=learning_rate)
         with mock.patch.object(agcn, "BLOCK_BYTES", block_bytes):
             assert_trains_like_the_oracle(graph, features, targets, hyper, seeds)
+
+    def test_ladder_size_equals_the_sequential_oracle(self, monkeypatch):
+        # at n = 128 the default BLOCK_BYTES stacks 8 seeds a block, so ten seeds train in two;
+        # OpenBLAS may pick other kernels here than at the n <= 12 of the hypothesis draws
+        n = 128
+        rng = np.random.default_rng(128)
+        graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, 0.3))
+        features = FeatureMatrix(values=rng.uniform(-1.0, 1.0, (n, 3)))
+        sizes, train_block = [], agcn._train_block
+
+        def counted(*args):
+            sizes.append(len(args[-1]))
+            return train_block(*args)
+
+        monkeypatch.setattr(agcn, "_train_block", counted)
+        hyper = AgcnHyperparams(iterations=20)
+        assert_trains_like_the_oracle(graph, features, rng.random(n), hyper, range(10))
+        assert sizes == [8, 2]
+
+    @given(
+        n=st.integers(1, 40),
+        graph_seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        cancelled=st.floats(0.0, 0.5),
+        width=st.integers(1, 4),
+        seeds=st.integers(1, 3),
+        scale=st.sampled_from([1e-5, 1.0, 1e5, None]),  # None: each entry its own scale
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_degree_update_is_the_pair_sum_within_its_bound(
+        self, n, graph_seed, density, cancelled, width, seeds, scale
+    ):
+        """The attention update (degrees @ G) / 2n against the pair sum it replaced.
+
+        `degrees` must be the self-looped graph's out- and in-degree counts,
+        exactly. Per entry, with u = eps / 2, T = sum_p |G_p| over the P
+        ordered pairs and gamma_k = k u / (1 - k u) <= k eps:
+
+        * the pair sum adds P terms, so it is within gamma_{P-1} T of the
+          exact sum in any order (Higham, Accuracy and Stability of Numerical
+          Algorithms, 2nd ed., eq. 4.4), and the division by 2n rounds once:
+          within gamma_P T / 2n of the exact update;
+        * degrees @ G is a dot product of n terms d_i G_i with d_i an exact
+          integer and sum_i |d_i G_i| = T, so the gemm, in any order and with
+          or without FMA, is within gamma_n T of the exact sum, and within
+          gamma_{n+1} T / 2n after the division.
+
+        Hence |new - old| <= (P + n + 1) eps T / 2n. The test takes T as the
+        computed sum of |G_p|, itself within gamma_{P-1} T of T, so it allows
+        one eps more: (P + n + 2) eps T / 2n.
+        """
+        rng = np.random.default_rng(graph_seed)
+        w = random_signed_digraph_weights(rng, n, density)
+        loops = np.flatnonzero(rng.random(n) < cancelled)
+        w[loops, loops] = -1.0  # self-loops that the + I cancels
+        graph = SignedWeightedDigraph(weights=w)
+        if not (w + np.eye(n)).any(axis=1).all():  # a -1 self-loop and no other edge in a row
+            with pytest.raises(BadParameter, match="absolute sum is zero"):
+                train_seeds(graph, FeatureMatrix(values=np.ones((n, width))), np.ones(n), DEFAULTS, [0])
+            return
+        captured, train_block = [], agcn._train_block
+
+        def record(a_hat, degrees, *rest):
+            captured.append(degrees)
+            return train_block(a_hat, degrees, *rest)
+
+        with mock.patch.object(agcn, "_train_block", record):
+            features = FeatureMatrix(values=rng.uniform(-1.0, 1.0, (n, width)))
+            train_seeds(graph, features, rng.random(n), AgcnHyperparams(iterations=1), [0])
+        degrees = captured[0]
+        assert degrees.dtype == float and np.array_equal(degrees, pair_degrees(graph))
+
+        shape = (seeds, n, width)
+        g = rng.uniform(-1.0, 1.0, shape) * (10.0 ** rng.uniform(-5, 5, shape) if scale is None else scale)
+        new = (degrees @ g).reshape(seeds, 2 * width) / (2.0 * n)  # as agcn._train_block has it
+        pair_src, pair_dst = np.nonzero(w + np.eye(n))
+        pairs = np.concatenate([g[:, pair_src], g[:, pair_dst]], axis=2)
+        old = pairs.sum(axis=1) / (2.0 * n)
+        bound = (pair_src.size + n + 2) * np.finfo(float).eps * np.abs(pairs).sum(axis=1) / (2.0 * n)
+        assert np.all(np.abs(new - old) <= bound)
 
     @pytest.mark.parametrize("block_bytes, blocks", [(agcn.BLOCK_BYTES, [10]), (1, [1] * 10)])
     def test_blocks_of_seeds(self, piezo, monkeypatch, block_bytes, blocks):

@@ -222,6 +222,11 @@ class TestPerturbColumn:
         with pytest.raises(BadParameter):
             perturb_column(piezo[0], 0, np.inf)
 
+    def test_overflowing_delta_is_refused_naming_it(self):
+        graph = SignedWeightedDigraph(weights=[[0.0, 1.5e308], [-1.0, 0.0]])
+        with pytest.raises(BadParameter, match="^delta 1e\\+308 overflows a weight of column 1"):
+            perturb_column(graph, 1, 1e308)
+
     def test_fraction_delta_equals_its_float(self, piezo):
         out = perturb_column(piezo[0], 1, Fraction(1, 2))
         assert out.weights.tobytes() == perturb_column(piezo[0], 1, 0.5).weights.tobytes()

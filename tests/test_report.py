@@ -496,6 +496,10 @@ class TestRun:
         report = concordance_from_summary(summary)
         assert report.pairs["motifs|nstc"].top_k_jaccard == 1.0
 
+    def test_summary_without_config_takes_the_default_top_k(self):
+        summary = {"methods": {"motifs": {"scores": [3.0, 1.0, 2.0]}, "nstc": {"scores": [1.0, 3.0, 2.0]}}}
+        assert concordance_from_summary(summary).top_k == AnalysisConfig().top_k
+
 
 class TestSummaryWriter:
     def test_failed_write_keeps_every_old_file(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -276,6 +277,16 @@ class TestSweep:
         graph = SignedWeightedDigraph(weights=np.full((2, 2), 1e308))
         table = perturbation_sweep(graph, [0.5])
         assert {cell.status for cell in table.cells.values()} == {"failed"}
+
+    def test_overflowing_column_is_a_failed_cell(self):
+        graph = SignedWeightedDigraph(weights=[[0.0, 1.5e308], [-1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            table = perturbation_sweep(graph, [1.0, 1e308])
+        # node 1's column overflows (1.5e308 + 1e308); node 0's matrix is finite, but its 2-norm is not
+        assert [table.cells[(node, 1e308)].status for node in (0, 1)] == ["failed", "failed"]
+        without = perturbation_sweep(graph, [1.0]).cells
+        assert {key: cell for key, cell in table.cells.items() if key[1] != 1e308} == without
 
     def test_reference_trajectories(self, piezo):
         table = perturbation_sweep(piezo[0], REFERENCE["deltas"])
