@@ -62,6 +62,8 @@ class AnalysisConfig:
             raise BadParameter(f"methods must be some of {list(METHODS)}, got {self.methods}")
         for name in ("delta_min", "delta_max", "delta_step", "perturb_factor", "learning_rate", "leaky_slope"):
             object.__setattr__(self, name, real_number(getattr(self, name), name))
+        if self.perturb_node is None and self.perturb_factor != AnalysisConfig.perturb_factor:
+            raise BadParameter(f"perturb_factor={self.perturb_factor} needs a perturb_node to scale")
         if self.delta_step <= 0:
             raise BadParameter(f"delta_step must be > 0, got {self.delta_step}")
         self.delta_grid()

@@ -58,7 +58,7 @@ def eigenvalues(matrix) -> EigenSet:
         raise BadMatrix(f"expected a nonempty square matrix, got shape {m.shape}")
     n = m.shape[0]
     try:
-        scale = float(np.linalg.norm(m, 2)) if n > 1 else float(abs(m[0, 0]))
+        scale = float(np.linalg.norm(m, 2))
         vals, vecs = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigenvalue iteration failed to converge: {exc}") from exc

@@ -8,14 +8,14 @@ values mark a polarity-reversing local flow structure, and nodes are ranked
 most-negative-first as the strongest instability spreaders.
 
 `_enumerate` states the walk rule once, as numpy columns in (start, mid, end)
-order; `all_walks`, `two_step_walks`, `nstc` and `nstc_table` all read it. Each
-node's mean is the builtin `sum` of its products in that order, so the scores
-do not depend on how the walks were enumerated. A product or mean that
-overflows raises `NumericalFailure` instead of ranking an infinite node first.
+order; `all_walks`, `two_step_walks`, `nstc` and `nstc_table` all read it.
+`np.bincount` adds each node's products left to right in that walk order, so
+a score has the same float64 bits on every Python and numpy version. A
+product or mean that overflows raises `NumericalFailure` instead of ranking
+an infinite node first.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,23 +86,21 @@ def two_step_walks(graph: SignedWeightedDigraph, start: int) -> list[TwoStepWalk
 
 
 def _nstc_rows(walks: Walks, nodes: range) -> list[NstcRow]:
-    """The NSTC row of each of `nodes`, from the walks that start at them."""
-    bounds = np.searchsorted(walks.start, np.arange(nodes.start, nodes.stop + 1)).tolist()
-    rows = []
-    for node, lo, hi in zip(nodes, bounds, bounds[1:]):
-        if lo == hi:
-            rows.append(NstcRow(node=node, n_paths=0, nstc=0.0, no_walks=True))
-            continue
-        mean = sum(walks.product[lo:hi].tolist()) / (hi - lo)
-        # weights are finite and nonzero, so a product overflows to +-inf, never nan, and its
-        # node's mean is then non-finite too; checking the mean also catches an overflowing sum
-        if not math.isfinite(mean):
-            raise NumericalFailure(
-                f"two-step walk cost from node {node} is not finite ({mean}): "
-                "walk products overflow float64"
-            )
-        rows.append(NstcRow(node=node, n_paths=hi - lo, nstc=mean))
-    return rows
+    """The NSTC row of each of `nodes`, from the walks that start at them; `np.bincount`
+    adds each node's products left to right in walk order, on every Python."""
+    at = walks.start - nodes.start
+    counts = np.bincount(at, minlength=len(nodes))
+    means = np.bincount(at, weights=walks.product, minlength=len(nodes)) / np.maximum(counts, 1)
+    # weights are finite and nonzero, so a product overflows to +-inf, never nan, and its
+    # node's mean is then non-finite too; checking the mean also catches an overflowing sum
+    bad = np.flatnonzero(~np.isfinite(means))
+    if bad.size:
+        raise NumericalFailure(
+            f"two-step walk cost from node {nodes[bad[0]]} is not finite ({means[bad[0]]}): "
+            "walk products overflow float64"
+        )
+    rows = zip(nodes, counts.tolist(), means.tolist())
+    return [NstcRow(node=v, n_paths=c, nstc=mean, no_walks=c == 0) for v, c, mean in rows]
 
 
 def nstc(graph: SignedWeightedDigraph, node: int) -> NstcRow:

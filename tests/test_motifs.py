@@ -93,13 +93,20 @@ def dfs_cycles(weights, k):
 
 
 def scan_oracle_table(graph):
-    """Motif rows by scanning every depth-first-search cycle for every node."""
+    """Motif rows by scanning every depth-first-search cycle for every node.
+
+    Each node's products are added left to right in a plain loop, not by builtin
+    `sum`, which from Python 3.12 adds floats with compensation.
+    """
     ws = {}
     for k in (3, 4, 5, 6):
         cycles = dfs_cycles(graph.weights, k)
         ws[k] = []
         for node in range(graph.n):
-            total = sum(p for nodes, p in cycles if p < 0 and node in nodes)
+            total = 0.0
+            for nodes, p in cycles:
+                if p < 0 and node in nodes:
+                    total += p
             ws[k].append(0.0 if total == 0 else total / total_degree(graph, node) ** 2)
     rows = []
     for node in range(graph.n):

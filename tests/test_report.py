@@ -170,6 +170,13 @@ class TestConfig:
         with pytest.raises(BadParameter, match=named):
             AnalysisConfig(**{field: value})
 
+    def test_perturb_factor_without_perturb_node_rejected(self):
+        with pytest.raises(BadParameter, match="perturb_factor=3.0 needs a perturb_node"):
+            AnalysisConfig(perturb_factor=3.0)
+        # the default factor, or any factor with a node to scale, is accepted
+        AnalysisConfig(perturb_factor=AnalysisConfig.perturb_factor)
+        assert AnalysisConfig(perturb_node=0, perturb_factor=3.0).perturb_factor == 3.0
+
     @pytest.mark.parametrize("field", ["model_path", "output_dir"])
     def test_path_that_is_not_a_string_rejected(self, tmp_path, field):
         with pytest.raises(BadParameter, match=field):
@@ -619,6 +626,13 @@ class TestCli:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: variant 'printed'") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_perturb_factor_without_perturb_node_fails_before_out(self, tmp_path, capsys):
+        argv = ["analyze", "--model", "piezo", "--method", "nstc", "--perturb-factor", "3"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: perturb_factor=3.0") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_duplicate_seed_fails(self, tmp_path, capsys):

@@ -57,11 +57,17 @@ def oracle_walk_rows(weights):
 
 
 def oracle_nstc(weights, node):
-    """Mean walk product by a sequential builtin `sum` over the oracle's walks."""
+    """Mean walk product, added left to right in the oracle's walk order.
+
+    A plain loop, not builtin `sum`: from Python 3.12 `sum` adds floats with
+    compensation, which changes the last bits.
+    """
     walks = oracle_walks(weights, node)
     if not walks:
         return NstcRow(node=node, n_paths=0, nstc=0.0, no_walks=True)
-    total = sum(float(w1) * float(w2) for _, _, _, w1, w2 in walks)
+    total = 0.0
+    for _, _, _, w1, w2 in walks:
+        total += float(w1) * float(w2)
     return NstcRow(node=node, n_paths=len(walks), nstc=total / len(walks))
 
 
@@ -190,6 +196,16 @@ class TestVectorisedWalks:
         assert nstc_table(graph) == expected
         assert nstc_table(graph, all_walks(graph)) == expected
         assert [nstc(graph, k) for k in range(graph.n)] == expected
+
+    def test_products_added_left_to_right_in_walk_order(self):
+        # node 0's walks have products 1e16, 1 and -1e16: added left to right the 1 is
+        # rounded away and the mean is exactly 0, where a compensated sum gives 1/3
+        w = np.zeros((5, 5))
+        w[0, 1], w[1, 2], w[1, 3], w[1, 4] = 1.0, 1e16, 1.0, -1e16
+        graph = SignedWeightedDigraph(weights=w)
+        assert all_walks(graph).product.tolist() == [1e16, 1.0, -1e16]
+        assert nstc(graph, 0).nstc == 0.0
+        assert nstc_table(graph)[0].nstc == 0.0
 
     @given(graph=signed_digraphs() | extreme_digraphs(), chunk_rows=st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
