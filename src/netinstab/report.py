@@ -29,9 +29,10 @@ from .walks import Walks
 WALK_COLUMNS = ("start", "mid", "end", "w1", "w2", "product")  # walk_tree.csv's header
 _WALK_CHUNK_ROWS = 1024  # walk rows formatted per block, which bounds the text held at once
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
-# each grid point but delta = 0 costs one verified O(n^3) eigen-solve per node
-# (1.5-1.8 ms on one core at n = 48, 2-core x86-64), so a grid past this (a
-# delta_step of 1e-7 gives 25 million points) would run for days rather than fail
+# each grid point but delta = 0 costs one O(n^3) eigenvalues-only solve per node,
+# verified at matrix-product cost (1.1-1.3 ms on one core at n = 48, 2-core
+# x86-64), so a grid past this (a delta_step of 1e-7 gives 25 million points)
+# would run for days rather than fail
 MAX_DELTA_POINTS = 1000
 
 

@@ -10,10 +10,18 @@ structural zeros included, unlike graph.perturb_column, which only shifts
 existing edges. The dense shift is the one under which the piezo fixture
 shows its reference drive-to-zero signature on nodes 2 and 6, and its
 trajectories are the archived reference.
+
+Each sweep matrix is a rank-one change of W, so the sweep eigendecomposes W
+once and solves every other cell for its eigenvalues only: the eigenvectors
+that verify them are built from W's (`_resolvent_solver`), and a cell they do
+not verify is solved again, with its own eigenvectors, by `eigenvalues`.
+Either way every accepted value passes the same residual, trace and
+finiteness test.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,28 +57,44 @@ def eigenvalues(matrix) -> EigenSet:
     within that distance of m. The values must also sum to the trace. A
     solver that fails to converge, a non-finite scale, value or residual, or
     a failed check raises NumericalFailure.
-
-    m x is taken as one real product, m @ [Re x | Im x], rather than m @ x:
-    the complex product would promote m to complex and do twice the flops.
     """
     m = number_table(matrix, "matrix", BadMatrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise BadMatrix(f"expected a nonempty square matrix, got shape {m.shape}")
-    n = m.shape[0]
+    return _eigenpairs(m)[0]
+
+
+def _eigenpairs(m: np.ndarray) -> tuple[EigenSet, np.ndarray]:
+    """`eigenvalues` of a finite square float matrix, with the eigenvectors it verified."""
     try:
         scale = float(np.linalg.norm(m, 2))
         vals, vecs = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigenvalue iteration failed to converge: {exc}") from exc
+    return _verified(m, scale, vals, vecs.real, vecs.imag), vecs
+
+
+def _verified(
+    m: np.ndarray, scale: float, vals: np.ndarray, re: np.ndarray, im: np.ndarray
+) -> EigenSet:
+    """The acceptance test for eigenpairs (vals[i], x = re[:, i] + 1j im[:, i]) of m,
+    whose 2-norm is scale.
+
+    m x is taken as one real product, m @ [Re x | Im x], rather than m @ x:
+    the complex product would promote m to complex and do twice the flops.
+    """
     if not (np.isfinite(scale) and np.all(np.isfinite(vals))):
         raise NumericalFailure("matrix norm or eigenvalues are not finite")
+    n = m.shape[0]
     unit = max(1.0, scale)
     # the residual is divided by the scale before its norm squares it, so
-    # entries past 1e154 do not overflow; one that still overflows fails below
-    with np.errstate(over="ignore", invalid="ignore"):
-        mv = m @ np.concatenate([vecs.real, vecs.imag], axis=1)
-        residuals = np.linalg.norm((mv[:, :n] + 1j * mv[:, n:] - vecs * vals) / unit, axis=0)
-    worst = float((residuals / np.linalg.norm(vecs, axis=0)).max()) * unit
+    # entries past 1e154 do not overflow; one that still overflows, or a zero
+    # or non-finite vector, fails below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mv = m @ np.concatenate([re, im], axis=1)
+        x = re + 1j * im
+        residuals = np.linalg.norm((mv[:, :n] + 1j * mv[:, n:] - x * vals) / unit, axis=0)
+        worst = float((residuals / np.linalg.norm(x, axis=0)).max()) * unit
     if not worst <= RESIDUAL_RTOL * unit:  # NaN-safe: a non-finite residual fails too
         raise NumericalFailure(
             f"eigenvalue residual {worst:.3e} exceeds bound {RESIDUAL_RTOL * unit:.3e}"
@@ -78,7 +102,7 @@ def eigenvalues(matrix) -> EigenSet:
     if not abs(vals.sum() - np.trace(m)) <= 1e-6 * unit:
         raise NumericalFailure("eigenvalue sum does not match matrix trace")
     return EigenSet(
-        values=tuple(complex(v) for v in vals),
+        values=tuple(vals.astype(complex).tolist()),
         residual_bound=worst,
         zero_tol=ZERO_RTOL * unit,
     )
@@ -119,10 +143,13 @@ def perturbation_sweep(graph: SignedWeightedDigraph, deltas) -> PerturbationSwee
     """Largest negative eigenvalue per (node, delta), delta added to the node's whole column.
 
     Every node is swept, and the delta=0 baseline is always included. The
-    delta=0 matrix is the same for every node, so it is solved once and its
-    cell is shared by all nodes (a failure there marks every node's delta=0
-    cell "failed"); every other cell is its own solve. A cell whose
-    perturbed column overflows float64, or whose eigenvalue computation
+    delta=0 matrix is the same for every node, so it is solved once, with
+    eigenvectors, and its cell is shared by all nodes (a failure there marks
+    every node's delta=0 cell "failed"). Every other cell is solved for its
+    eigenvalues only and verified with eigenvectors built from the delta=0
+    solve (see `_resolvent_solver`); a cell that fails that verification is
+    solved again by `eigenvalues`, as are all later cells of its node. A cell
+    whose perturbed column overflows float64, or whose eigenvalue computation
     fails, is marked "failed" without aborting the other cells.
     """
     deltas = number_table(deltas, "deltas")
@@ -131,30 +158,94 @@ def perturbation_sweep(graph: SignedWeightedDigraph, deltas) -> PerturbationSwee
     nodes = tuple(range(graph.n))
     grid = sorted(set(deltas.tolist()) | {0.0})
 
-    def cell(node: int, delta: float, w: np.ndarray) -> SweepCell:
-        if not np.isfinite(w).all():  # the perturbed column overflowed float64
-            return SweepCell(node, delta, None, "failed")
-        try:
-            value = largest_negative_eigenvalue(eigenvalues(w))
-        except NumericalFailure:
-            return SweepCell(node, delta, None, "failed")
-        return SweepCell(node, delta, value, "ok" if value is not None else "no_negative")
-
     # one solve for every node's delta = 0 cell: the grid's zero (-0.0 if the caller
     # gave it) added to the whole matrix, so a + 0.0 turns every -0.0 weight into 0.0
     zero = grid[grid.index(0.0)]
-    base = cell(0, zero, graph.weights + zero)
+    try:
+        base, vecs = _eigenpairs(graph.weights + zero)
+    except NumericalFailure:
+        base, fast = None, None
+    else:
+        fast = _resolvent_solver(base, vecs)
+    fast_nodes = set(nodes) if fast is not None else set()
+
+    def solve(node: int, w: np.ndarray) -> EigenSet | None:
+        if not np.isfinite(w).all():  # the perturbed column overflowed float64
+            return None
+        if node in fast_nodes:
+            try:
+                return fast(w)
+            except NumericalFailure:
+                fast_nodes.discard(node)  # its other cells would most likely fail too
+        try:
+            return eigenvalues(w)
+        except NumericalFailure:
+            return None
+
     cells = {}
     for node in nodes:
         for delta in grid:
             if delta == 0.0:
-                cells[(node, delta)] = replace(base, node=node)
+                eigen = base
             else:
                 w = graph.weights.copy()
                 with np.errstate(over="ignore"):  # an overflowing cell is marked failed
                     w[:, node] += delta
-                cells[(node, delta)] = cell(node, delta, w)
+                eigen = solve(node, w)
+            if eigen is None:
+                cells[(node, delta)] = SweepCell(node, delta, None, "failed")
+            else:
+                value = largest_negative_eigenvalue(eigen)
+                status = "ok" if value is not None else "no_negative"
+                cells[(node, delta)] = SweepCell(node, delta, value, status)
     return PerturbationSweepTable(deltas=tuple(grid), nodes=nodes, cells=cells)
+
+
+def _resolvent_solver(
+    base: EigenSet, vecs: np.ndarray
+) -> Callable[[np.ndarray], EigenSet] | None:
+    """Verified eigenvalues of W + delta 1 e_j^T for any delta and j, given W's
+    eigenpairs (base, vecs); None if vecs is singular or a = V^-1 1 is not
+    finite or has a component that is zero to rounding.
+
+    For an eigenvalue mu of such a matrix that is not one of W's, an
+    eigenvector is the resolvent vector (W - mu I)^-1 1 = V (Lambda - mu I)^-1 a
+    with a = V^-1 1 (Golub, "Some modified matrix eigenvalue problems", SIAM
+    Rev. 1973). So a cell takes `np.linalg.eigvals`, which returns the same
+    values as `np.linalg.eig`, and builds its vectors as V C with
+    C[k, i] = a_k / (lambda_k - mu_i) at O(n^3) matrix-product cost. They then
+    pass `eigenvalues`' own test. Where W and the cell share an eigenvalue
+    whose eigenvector this formula cannot reach, the vector fails the test and
+    the cell raises NumericalFailure. With a_k = 0, lambda_k is such an
+    eigenvalue of every cell (row k of V^-1 is a left eigenvector of each), so
+    no cell would pass: piezo's triple zero eigenvalue has |a_k| near 1e-15.
+    """
+    try:
+        a = np.linalg.solve(vecs, np.ones(len(vecs)))
+    except np.linalg.LinAlgError:  # vecs is singular: W is defective
+        return None
+    size = np.abs(a)
+    if not (np.isfinite(a).all() and size.min() > len(a) * np.finfo(float).eps * size.max()):
+        return None
+    a = a[:, None]
+    lam = np.array(base.values)[:, None]
+    vr, vi = vecs.real, vecs.imag
+
+    def solve(m: np.ndarray) -> EigenSet:
+        try:
+            scale = float(np.linalg.norm(m, 2))
+            mu = np.linalg.eigvals(m)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"eigenvalue iteration failed to converge: {exc}") from exc
+        # mu == lambda_k divides by zero, which leaves a NaN column to fail the test
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            c = a / (lam - mu)
+            c /= np.abs(c).max(axis=0)  # so that no ||x|| overflows
+            # V C as real products: a complex V @ C takes a second BLAS thread for no gain
+            re, im = vr @ c.real - vi @ c.imag, vr @ c.imag + vi @ c.real
+        return _verified(m, scale, mu, re, im)
+
+    return solve
 
 
 def sweep_end_scores(table: PerturbationSweepTable) -> list[float | None]:

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import netinstab.spectral
-from netinstab.spectral import RESIDUAL_RTOL, SweepCell
+from netinstab.spectral import RESIDUAL_RTOL, ZERO_RTOL, SweepCell
 from netinstab import (
     BadMatrix,
     BadParameter,
@@ -56,9 +56,8 @@ def hard_matrices():
     return cases
 
 
-def assert_svd_oracle_holds(m):
-    """Each returned value passes the singular-value test the residual check replaced."""
-    es = eigenvalues(m)
+def assert_svd_oracle_holds(m, es):
+    """Each value of es passes the singular-value test the residual check replaced."""
     scale = max(1.0, float(np.linalg.norm(m, 2)))
     sigma = max(np.linalg.svd(m - v * np.eye(len(m)), compute_uv=False)[-1] for v in es.values)
     assert sigma <= RESIDUAL_RTOL * scale
@@ -80,6 +79,85 @@ def column_by_column_sweep(graph, grid):
             status = "ok" if value is not None else "no_negative"
             cells[(node, delta)] = SweepCell(node, delta, value, status)
     return cells
+
+
+def assert_sweep_matches_oracle(graph, table):
+    """Every cell equals column_by_column_sweep's, except one kind of cell the oracle
+    marks failed: eig's own eigenvectors fail the residual test, while the sweep's
+    resolvent eigenvectors pass it for the same eigenvalues (seen at tiny deltas such
+    as 2e-17 and 4e-249). Such a cell must hold the value of np.linalg.eigvals, and
+    each of those values must pass the SVD test."""
+    oracle = column_by_column_sweep(graph, table.deltas)
+    assert table.cells.keys() == oracle.keys()
+    for (node, delta), cell in table.cells.items():
+        if cell == oracle[(node, delta)]:
+            continue
+        assert oracle[(node, delta)].status == "failed", (node, delta, cell)
+        w = shifted(graph, node, delta)
+        scale = max(1.0, float(np.linalg.norm(w, 2)))
+        values = tuple(complex(v) for v in np.linalg.eigvals(w))
+        value = largest_negative_eigenvalue(EigenSet(values=values, zero_tol=ZERO_RTOL * scale))
+        assert cell == SweepCell(node, delta, value, "ok" if value is not None else "no_negative")
+        sigma = max(np.linalg.svd(w - v * np.eye(len(w)), compute_uv=False)[-1] for v in values)
+        assert sigma <= RESIDUAL_RTOL * scale
+
+
+def dense_graph(seed, n=8):
+    """A random graph with every edge present, whose cells all verify on the fast path."""
+    weights = random_signed_digraph_weights(np.random.default_rng(seed), n, density=1.0)
+    return SignedWeightedDigraph(weights=weights)
+
+
+def shifted(graph, node, delta):
+    """The sweep's matrix for (node, delta)."""
+    w = graph.weights.copy()
+    w[:, node] += delta
+    return w
+
+
+def without(cells, keys):
+    return {key: cell for key, cell in cells.items() if key not in keys}
+
+
+def count_calls(monkeypatch, name):
+    """Record the matrix of every call to netinstab.spectral.<name>."""
+    real = getattr(netinstab.spectral, name)
+    calls = []
+
+    def counted(matrix):
+        calls.append(np.array(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(netinstab.spectral, name, counted)
+    return calls
+
+
+def patch_fast_path(monkeypatch, fail_on=None):
+    """Count the sweep's fast-path solvers, their calls and their failures; a
+    call on a matrix equal to fail_on raises NumericalFailure."""
+    real = netinstab.spectral._resolvent_solver
+    counts = {"solvers": 0, "calls": 0, "failed": 0}
+
+    def solver(base, vecs):
+        inner = real(base, vecs)
+        if inner is None:
+            return None
+        counts["solvers"] += 1
+
+        def solve(m):
+            counts["calls"] += 1
+            try:
+                if fail_on is not None and np.array_equal(m, fail_on):
+                    raise NumericalFailure("synthetic fast-path failure")
+                return inner(m)
+            except NumericalFailure:
+                counts["failed"] += 1
+                raise
+
+        return solve
+
+    monkeypatch.setattr(netinstab.spectral, "_resolvent_solver", solver)
+    return counts
 
 
 def assert_multisets_close(got, expected, tol):
@@ -129,11 +207,13 @@ class TestEigenvalues:
     @given(seed=st.integers(0, 100_000), n=st.integers(1, 8))
     @settings(max_examples=80, deadline=None)
     def test_svd_oracle_random(self, seed, n):
-        assert_svd_oracle_holds(random_signed_digraph_weights(np.random.default_rng(seed), n))
+        m = random_signed_digraph_weights(np.random.default_rng(seed), n)
+        assert_svd_oracle_holds(m, eigenvalues(m))
 
     @pytest.mark.parametrize("name", list(hard_matrices()))
     def test_svd_oracle_hard_cases(self, name):
-        assert_svd_oracle_holds(hard_matrices()[name])
+        m = hard_matrices()[name]
+        assert_svd_oracle_holds(m, eigenvalues(m))
 
     @pytest.mark.parametrize("name", list(hard_matrices()))
     def test_real_residual_matches_complex_residual(self, name):
@@ -167,6 +247,42 @@ class TestEigenvalues:
         es = eigenvalues(m)
         conjugates = [v.conjugate() for v in es.values]
         assert_multisets_close(es.values, conjugates, 1e-9 * max(1.0, float(np.linalg.norm(m, 2))))
+
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(2, 128),
+        density=st.sampled_from([0.1, 0.3, 1.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_eigvals_equals_eig_bitwise(self, seed, n, density):
+        # the sweep takes its values from eigvals and verifies them with vectors of its own;
+        # its cells equal eigenvalues()' only while eigvals returns eig's values bit for bit
+        m = random_signed_digraph_weights(np.random.default_rng(seed), n, density)
+        values, with_vectors = np.linalg.eigvals(m), np.linalg.eig(m)[0]
+        assert values.dtype == with_vectors.dtype
+        assert values.tobytes() == with_vectors.tobytes()
+
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(2, 16),
+        density=st.sampled_from([0.3, 0.6, 1.0]),
+        delta=st.floats(-3, 3).filter(lambda d: d != 0.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_svd_oracle_fast_path(self, seed, n, density, delta):
+        rng = np.random.default_rng(seed)
+        w = random_signed_digraph_weights(rng, n, density)
+        node = int(rng.integers(n))
+        m = w.copy()
+        m[:, node] += delta
+        solve = netinstab.spectral._resolvent_solver(*netinstab.spectral._eigenpairs(w))
+        assume(solve is not None)
+        try:
+            es = solve(m)
+        except NumericalFailure:  # the sweep would solve this cell with eigenvalues()
+            assume(False)
+        assert_svd_oracle_holds(m, es)
+        assert es.values == tuple(complex(v) for v in np.linalg.eig(m)[0])  # eig's vectors may fail
 
 
 class TestLargestNegative:
@@ -218,39 +334,77 @@ class TestSweep:
         with pytest.raises(BadParameter):
             perturbation_sweep(piezo[0], [np.inf])
 
-    def test_cell_failure_does_not_abort_run(self, piezo, monkeypatch):
-        real = netinstab.spectral.eigenvalues
-        calls = {"count": 0}
-
-        def flaky(matrix):
-            calls["count"] += 1
-            if calls["count"] == 2:
-                raise NumericalFailure("synthetic per-cell failure")
-            return real(matrix)
-
-        monkeypatch.setattr(netinstab.spectral, "eigenvalues", flaky)
-        table = perturbation_sweep(piezo[0], [0.5])
-        statuses = [table.cells[key].status for key in sorted(table.cells)]
-        assert statuses.count("failed") == 1
-        assert statuses.count("ok") == 15
-
-    def test_failed_zero_delta_solve_fails_every_node_once(self, piezo, monkeypatch):
-        real = netinstab.spectral.eigenvalues
-        calls = {"count": 0}
+    def test_failed_zero_delta_solve_fails_every_node_once(self, monkeypatch):
+        # the delta = 0 solve is the first; with it failed there is no fast path,
+        # so every other cell is one eigenvalues() solve
+        real = netinstab.spectral._eigenpairs
+        calls = []
 
         def fails_first(matrix):
-            calls["count"] += 1
-            if calls["count"] == 1:
+            calls.append(matrix)
+            if len(calls) == 1:
                 raise NumericalFailure("synthetic failure of the delta=0 solve")
             return real(matrix)
 
-        monkeypatch.setattr(netinstab.spectral, "eigenvalues", fails_first)
-        graph = piezo[0]
+        monkeypatch.setattr(netinstab.spectral, "_eigenpairs", fails_first)
+        graph = dense_graph(3)
         table = perturbation_sweep(graph, [0.5, 1.0])
-        assert calls["count"] == 1 + graph.n * (len(table.deltas) - 1)
+        assert len(calls) == 1 + graph.n * (len(table.deltas) - 1)
         failed = {key for key, cell in table.cells.items() if cell.status == "failed"}
         assert failed == {(node, 0.0) for node in range(graph.n)}
         assert all(table.cells[(node, 0.0)].node == node for node in range(graph.n))
+        oracle = column_by_column_sweep(graph, table.deltas)
+        assert without(table.cells, failed) == without(oracle, failed)
+
+    def test_cell_failure_does_not_abort_run(self, monkeypatch):
+        graph = dense_graph(4)
+        bad = shifted(graph, 3, 0.5)
+        fast = patch_fast_path(monkeypatch, fail_on=bad)
+        real = netinstab.spectral.eigenvalues
+
+        def fails_on_bad(matrix):
+            if np.array_equal(matrix, bad):
+                raise NumericalFailure("synthetic per-cell failure")
+            return real(matrix)
+
+        monkeypatch.setattr(netinstab.spectral, "eigenvalues", fails_on_bad)
+        table = perturbation_sweep(graph, [0.5, 1.0])
+        assert fast["calls"] > 0
+        assert table.cells[(3, 0.5)] == SweepCell(3, 0.5, None, "failed")
+        oracle = column_by_column_sweep(graph, table.deltas)
+        assert without(table.cells, {(3, 0.5)}) == without(oracle, {(3, 0.5)})
+
+    def test_fast_path_failure_falls_back_for_the_rest_of_its_node(self, monkeypatch):
+        graph = dense_graph(5)
+        fast = patch_fast_path(monkeypatch, fail_on=shifted(graph, 3, 0.5))
+        solved = count_calls(monkeypatch, "eigenvalues")
+        table = perturbation_sweep(graph, [-1.0, 0.5, 1.0])
+        assert table.cells == column_by_column_sweep(graph, table.deltas)
+        # node 3 tried -1.0 and 0.5 on the fast path; 0.5 and 1.0 went to eigenvalues()
+        assert fast["calls"] == graph.n * 3 - 1
+        assert len(solved) == 2
+        assert all(np.array_equal(m, shifted(graph, 3, d)) for m, d in zip(solved, (0.5, 1.0)))
+
+    def test_piezo_takes_no_fast_path(self, piezo, piezo_printed):
+        # W's triple zero eigenvalue has a_k near 0, so no piezo cell would verify on the
+        # fast path, and every cell is one eigenvalues() solve
+        deltas = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        for graph in (piezo[0], piezo_printed[0]):
+            with pytest.MonkeyPatch.context() as mp:
+                fast = patch_fast_path(mp)
+                solved = count_calls(mp, "eigenvalues")
+                table = perturbation_sweep(graph, deltas)
+            assert fast == {"solvers": 0, "calls": 0, "failed": 0}
+            assert len(solved) == graph.n * len(deltas)
+            assert table.cells == column_by_column_sweep(graph, table.deltas)
+
+    def test_singular_eigenvectors_take_no_fast_path(self, monkeypatch):
+        # a Jordan block's eigenvectors are parallel
+        graph = SignedWeightedDigraph(weights=np.eye(4, k=1))
+        fast = patch_fast_path(monkeypatch)
+        table = perturbation_sweep(graph, [0.5])
+        assert fast == {"solvers": 0, "calls": 0, "failed": 0}
+        assert table.cells == column_by_column_sweep(graph, table.deltas)
 
     @given(
         seed=st.integers(0, 100_000),
@@ -262,7 +416,21 @@ class TestSweep:
         graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(np.random.default_rng(seed), n))
         table = perturbation_sweep(graph, deltas)
         assert table.deltas == tuple(sorted(set(deltas) | {0.0}))
-        assert table.cells == column_by_column_sweep(graph, table.deltas)
+        assert_sweep_matches_oracle(graph, table)
+
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(16, 64),
+        density=st.sampled_from([0.02, 0.1, 0.3, 0.6, 1.0]),
+        deltas=st.lists(st.floats(-3, 3), min_size=1, max_size=2),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_sweep_matches_column_by_column_oracle_at_size(self, seed, n, density, deltas):
+        # density 0.02 leaves most columns empty: W is defective, and its eigenvectors
+        # are most often singular, which leaves the sweep no fast path
+        rng = np.random.default_rng(seed)
+        graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density))
+        assert_sweep_matches_oracle(graph, perturbation_sweep(graph, deltas))
 
     def test_negative_zero_weights_give_every_node_one_baseline(self):
         # adding 0.0 to one column turns only that column's -0.0 weights into 0.0, which
