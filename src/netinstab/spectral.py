@@ -147,10 +147,11 @@ def perturbation_sweep(graph: SignedWeightedDigraph, deltas) -> PerturbationSwee
     eigenvectors, and its cell is shared by all nodes (a failure there marks
     every node's delta=0 cell "failed"). Every other cell is solved for its
     eigenvalues only and verified with eigenvectors built from the delta=0
-    solve (see `_resolvent_solver`); a cell that fails that verification is
-    solved again by `eigenvalues`, as are all later cells of its node. A cell
-    whose perturbed column overflows float64, or whose eigenvalue computation
-    fails, is marked "failed" without aborting the other cells.
+    solve (see `_resolvent_solver`); a cell that this fast path declines or
+    does not verify is solved again by `eigenvalues`, so every cell reads as
+    `eigenvalues` alone would give it. A cell whose perturbed column overflows
+    float64, or whose eigenvalue computation fails, is marked "failed" without
+    aborting the other cells.
     """
     deltas = number_table(deltas, "deltas")
     if deltas.ndim != 1:
@@ -167,16 +168,15 @@ def perturbation_sweep(graph: SignedWeightedDigraph, deltas) -> PerturbationSwee
         base, fast = None, None
     else:
         fast = _resolvent_solver(base, vecs)
-    fast_nodes = set(nodes) if fast is not None else set()
 
-    def solve(node: int, w: np.ndarray) -> EigenSet | None:
+    def solve(w: np.ndarray) -> EigenSet | None:
         if not np.isfinite(w).all():  # the perturbed column overflowed float64
             return None
-        if node in fast_nodes:
+        if fast is not None:
             try:
                 return fast(w)
             except NumericalFailure:
-                fast_nodes.discard(node)  # its other cells would most likely fail too
+                pass
         try:
             return eigenvalues(w)
         except NumericalFailure:
@@ -191,7 +191,7 @@ def perturbation_sweep(graph: SignedWeightedDigraph, deltas) -> PerturbationSwee
                 w = graph.weights.copy()
                 with np.errstate(over="ignore"):  # an overflowing cell is marked failed
                     w[:, node] += delta
-                eigen = solve(node, w)
+                eigen = solve(w)
             if eigen is None:
                 cells[(node, delta)] = SweepCell(node, delta, None, "failed")
             else:
@@ -219,6 +219,13 @@ def _resolvent_solver(
     the cell raises NumericalFailure. With a_k = 0, lambda_k is such an
     eigenvalue of every cell (row k of V^-1 is a left eigenvector of each), so
     no cell would pass: piezo's triple zero eigenvalue has |a_k| near 1e-15.
+
+    A matrix with a nonzero entry below RESIDUAL_RTOL times its largest is
+    declined with NumericalFailure before any solve. On such a matrix LAPACK's
+    balancing can leave `np.linalg.eig` with right eigenvalues but
+    eigenvectors that fail the residual test, as for a tiny delta added to a
+    column's structural zeros; the resolvent vectors would pass there, and the
+    cell would read "ok" where `eigenvalues` reads "failed".
     """
     try:
         a = np.linalg.solve(vecs, np.ones(len(vecs)))
@@ -232,6 +239,9 @@ def _resolvent_solver(
     vr, vi = vecs.real, vecs.imag
 
     def solve(m: np.ndarray) -> EigenSet:
+        size = np.abs(m)
+        if np.any((size > 0) & (size < RESIDUAL_RTOL * size.max())):
+            raise NumericalFailure("matrix has entries too small for the fast path")
         try:
             scale = float(np.linalg.norm(m, 2))
             mu = np.linalg.eigvals(m)
