@@ -8,12 +8,19 @@ reproduce byte-identical files.
 
 The two-step walks are almost all of the output. `walk_tree.csv` is the one
 place that lists them; summary.json holds each node's walk count (`n_paths`)
-but not the walks. Their rows are formatted straight from the `Walks` columns
-(`_walk_csv`) and written in blocks, so the text is never held whole.
+but not the walks. Their rows are built straight from the `Walks` columns
+(`_walk_csv`) and written in blocks, so the text is never held whole. A block
+is one array of byte lanes, a row per walk: the node, pair and weight text
+comes from tables that Python formats once per node or edge, and the products'
+from `_g6_lines`, a vectorised `%.6g` that hands to Python's own every value
+it cannot show it rounds the same way. So the file is Python's `%.6g` text,
+byte for byte.
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -27,12 +34,12 @@ from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 from .walks import Walks
 
 WALK_COLUMNS = ("start", "mid", "end", "w1", "w2", "product")  # walk_tree.csv's header
-_WALK_CHUNK_ROWS = 1024  # walk rows formatted per block, which bounds the text held at once
+_WALK_CHUNK_ROWS = 1024  # walk rows formatted per block, which bounds the text and arrays held at once
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
 # each grid point but delta = 0 costs one O(n^3) eigenvalues-only solve per node,
-# verified at matrix-product cost (1.1-1.3 ms on one core at n = 48, 2-core
-# x86-64), so a grid past this (a delta_step of 1e-7 gives 25 million points)
-# would run for days rather than fail
+# verified at matrix-product cost (a sweep takes 0.7-0.9 ms per cell at n = 48 on
+# a 2-core x86-64, with one OpenBLAS thread or two), so a grid past this (a
+# delta_step of 1e-7 gives 25 million points) would run for days rather than fail
 MAX_DELTA_POINTS = 1000
 
 
@@ -146,32 +153,150 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_LANE = np.dtype("<i8")  # little-endian, so a lane's first text byte is its lowest
+
+
+def _lanes(texts: list[str]) -> np.ndarray:
+    """`texts` as rows of ASCII bytes, NUL-padded to a whole number of 8-byte lanes and
+    viewed as `_LANE`s, which numpy gathers and copies faster than single bytes."""
+    width = -(-max(map(len, texts)) // 8) * 8
+    return np.array(texts, f"S{width}").view(_LANE).reshape(len(texts), -1)
+
+
+_G6_LANES = 3  # `_g6_lines`' 8-byte lanes per value
+_G6_TIE_MARGIN = 1e-6  # a scaled value this near a rounding tie goes to Python: see `_g6_lines`
+_G6_EXPONENTS = range(-302, 310)  # the decimal exponents `_g6_lines` formats itself
+
+
+def _word_text(digits: np.ndarray, point: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Each row of three digit characters as at most 4 bytes of NUL-padded text, in the
+    low half of a `_LANE`: the digits up to the last of the first `kept` and the one at
+    `point` (the digit before the point, or -1), and a point after the one at `point`
+    if one of the first `kept` comes after it."""
+    place = np.arange(4)
+    dot = np.where((point >= 0) & (point + 1 < kept), point, 9)[:, None]  # 9: none
+    shown = np.minimum(np.maximum(kept, point + 1), 3)[:, None] + (place > dot)
+    padded = np.zeros((len(digits), 5), np.uint8)
+    padded[:, 1:4] = digits
+    text = np.zeros((len(digits), 8), np.uint8)
+    text[:, :4] = np.where(place > dot, padded[:, :4], padded[:, 1:])  # after the point, one digit back
+    text[:, :4][place >= shown] = 0
+    text[:, :4][place == dot + 1] = ord(".")
+    return text.view(_LANE).ravel()
+
+
+@functools.cache
+def _g6_tables() -> tuple:
+    """`_g6_lines`' tables, made on first use. Each is read at a key made of a value's
+    exponent e (as e - min(_G6_EXPONENTS)), its six digits as two 3-digit words, or both:
+    - the float64 nearest 10**(5 - e);
+    - lane 0: the sign, then "0.", "0.0", "0.00" or "0.000" for e = -1..-4;
+    - lane 1: the high word's text (see `_word_text`), which depends also on whether
+      the low word is 0, and where a high word of 1000, a carry, reads as 100; plus
+      the low word's text, shifted into the upper half;
+    - lane 2: "e+308" in exponent notation, then the newline.
+    """
+    e = np.array(_G6_EXPONENTS)
+    powers = np.array([float(f"1e{5 - k}") for k in _G6_EXPONENTS])
+    point = np.where((e >= -4) & (e <= 5), np.maximum(e, -1), 0)  # the digit before the point
+    high_key = 2 * (np.minimum(point, 3) + 1)  # + 10 * high word + (low word == 0)
+    low_key = np.clip(point - 2, 0, 3)  # + 4 * low word
+    words = [f"{w:03d}" for w in range(1000)] + ["100"]
+    digits = np.array(words, "S3").view(np.uint8).reshape(-1, 3)
+    kept = np.array([len(w.rstrip("0")) for w in words])  # up to the last nonzero digit
+    word = np.repeat(np.arange(1001), 10)
+    point = np.tile(np.repeat(np.arange(-1, 4), 2), 1001)
+    high = _word_text(digits[word], point, np.where(np.tile([False, True], 5005), kept[word], 4))
+    word = np.repeat(np.arange(1000), 4)
+    low = _word_text(digits[word], np.tile(np.arange(-1, 3), 1000), kept[word]) * (1 << 32)
+    prefix = [sign + ("0." + "0" * (-k - 1) if -4 <= k < 0 else "") for k in _G6_EXPONENTS for sign in ("", "-")]
+    suffix = ["\n" if -4 <= k <= 5 else f"e{k:+03d}\n" for k in _G6_EXPONENTS]
+    return powers, _lanes(prefix).ravel(), high, low, _lanes(suffix).ravel(), high_key, low_key
+
+
+def _g6_lines(x: np.ndarray) -> np.ndarray:
+    """`"%.6g\n" % v` of each float64 `v` in `x`, as `_G6_LANES` `_LANE`s of ASCII bytes
+    with NULs in between: the text is what is left when they are dropped.
+
+    A value's decimal exponent e is estimated from its binary one, k in |v| = m * 2**k
+    with m in [1, 2), as floor(k * log10(2)): floor(log10 |v|) or one less. The scaled
+    value s = |v| * 10**(5 - e) then corrects it once into [1e5, 1e6); rint(s) gives
+    the six digits, and a rint of 1e6 carries into e. s is computed with two float64
+    roundings, that of the power of 10 and that of the product, so it is within about
+    3e-10 of the exact scaled value; wherever its fraction is more than
+    `_G6_TIE_MARGIN` from 1/2, it rounds as the exact value does, and the digits are
+    Python's correctly rounded ones.
+    Every other value (0, not finite, near a tie, or with e outside `_G6_EXPONENTS`,
+    so subnormal among others) is formatted by Python itself, in one call for the
+    whole array.
+
+    The lanes hold the sign and the "0.000" of fixed notation below 1, the text of
+    each 3-digit word, and the "e+308" of exponent notation with the newline. The
+    trailing zeros of the fraction are left out, and so is a point with nothing after it.
+    """
+    powers, prefix, high_text, low_text, suffix, high_key, low_key = _g6_tables()
+    with np.errstate(all="ignore"):  # a value that is 0 or not finite goes to Python below
+        a = np.abs(x)
+        binary = (a.view(np.int64) >> 52) - 1023  # k, read from the exponent bits
+        e = np.floor(binary * math.log10(2)).astype(np.int64) - _G6_EXPONENTS.start
+        s = a * np.take(powers, e, mode="clip")
+        e += s >= 1e6
+        e -= s < 1e5  # s may round across 1e5 near a power of 10
+        s = a * np.take(powers, e, mode="clip")
+        d = np.rint(s)
+        ok = (np.abs(s - d) < 0.5 - _G6_TIE_MARGIN) & (d >= 1e5) & (d <= 1e6)
+        high = np.floor(d / 1000)  # exact: d is a whole number below 2**53
+        low = (d - 1000 * high).astype(np.int64)
+        high = high.astype(np.int64)
+    e += high == 1000  # rounded up to the next power of 10
+    ok &= (e >= 0) & (e < len(powers))
+    text = np.empty((len(x), _G6_LANES), _LANE)
+    text[:, 0] = np.take(prefix, 2 * e + (x < 0), mode="clip")  # x is not -0.0 where ok
+    text[:, 1] = np.take(high_text, 10 * high + np.take(high_key, e, mode="clip") + (low == 0), mode="clip")
+    text[:, 1] += np.take(low_text, 4 * low + np.take(low_key, e, mode="clip"), mode="clip")
+    text[:, 2] = np.take(suffix, e, mode="clip")
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        texts = list(map("%.6g\n".__mod__, x[bad].tolist()))
+        text[bad] = np.array(texts, f"S{8 * _G6_LANES}").view(_LANE).reshape(-1, _G6_LANES)
+    return text
+
+
 def _walk_csv(walks: Walks, weights):
     """The text of `walk_tree.csv`, in pieces: `_csv` of one (start, mid, end, w1, w2, product)
     row per walk, where w1 and w2 are the `weights` of its two edges, every number `%.6g`.
 
-    Each node index and each edge's weight and (start, mid) pair are formatted
-    once, into tables read by edge id; each row then takes one `%`-format call
-    whose only float is the walk's product. The rows go out `_WALK_CHUNK_ROWS`
-    at a time.
+    Python formats each node index, and each edge's (start, mid) pair and weight, once,
+    into tables of NUL-padded 8-byte lanes (`_lanes`) read by node or edge id. The
+    products are formatted by `_g6_lines`: a product whose six scaled digits lie
+    within `_G6_TIE_MARGIN` of a rounding tie, and one that is 0, subnormal or not
+    finite, goes through Python's own `"%.6g"`, once per block for all of them.
+    Each block of `_WALK_CHUNK_ROWS` walks becomes one array of lanes, a row per
+    walk, whose NULs are then dropped.
     """
     yield ",".join(WALK_COLUMNS) + "\n"
+    if not len(walks):
+        return
     n = len(weights)
-    nodes = ["%.6g" % k for k in range(n)]
-    node_text = np.array(nodes, dtype=object)
     flat = weights.ravel()
     edges = np.flatnonzero(flat)
-    weight_text = np.empty(flat.size, dtype=object)
-    weight_text[edges] = ["%.6g" % w for w in flat[edges].tolist()]
-    pair_text = np.empty(flat.size, dtype=object)
-    pair_text[edges] = [f"{nodes[e // n]},{nodes[e % n]}" for e in edges.tolist()]
+    edge_id = np.zeros(flat.size, np.int32)
+    edge_id[edges] = np.arange(len(edges))
+    nodes = ["%.6g" % k for k in range(n)]
+    pair_text = _lanes([f"{nodes[e // n]},{nodes[e % n]}," for e in edges.tolist()])
+    end_text = _lanes([f"{v}," for v in nodes])
+    weight_text = _lanes(list(map("%.6g,".__mod__, flat[edges].tolist())))
+    tables = (pair_text, end_text, weight_text, weight_text)
+    lanes = np.cumsum([0, *(table.shape[1] for table in tables), _G6_LANES])
     for lo in range(0, len(walks), _WALK_CHUNK_ROWS):
         block = slice(lo, lo + _WALK_CHUNK_ROWS)
         mid, end = walks.mid[block], walks.end[block]
-        first, second = walks.start[block] * n + mid, mid * n + end
-        columns = (pair_text[first], node_text[end], weight_text[first], weight_text[second])
-        rows = zip(*(c.tolist() for c in columns), walks.product[block].tolist())
-        yield "".join(map("%s,%s,%s,%s,%.6g\n".__mod__, rows))
+        first, second = edge_id[walks.start[block] * n + mid], edge_id[mid * n + end]
+        rows = np.empty((len(mid), lanes[-1]), _LANE)
+        for table, key, start, stop in zip(tables, (first, end, first, second), lanes, lanes[1:]):
+            rows[:, start:stop] = np.take(table, key, axis=0)
+        rows[:, lanes[-2]:] = _g6_lines(walks.product[block])
+        yield rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _ranking(table: NodeScoreTable) -> dict:

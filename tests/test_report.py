@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import tempfile
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netinstab import (
@@ -42,6 +43,7 @@ from netinstab.report import (
     MAX_DELTA_POINTS,
     WALK_COLUMNS,
     _csv,
+    _g6_lines,
     concordance_from_summary,
     run,
     tables_from_summary,
@@ -536,8 +538,10 @@ class TestSummaryWriter:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_several_default_chunks(self, tmp_path):
+        # the smallest complete digraph (self-loops too, at density 1) with over four blocks of walks
+        n = next(n for n in itertools.count(3) if n * (n - 1) * (n - 2) > 4 * _WALK_CHUNK_ROWS)
         rng = np.random.default_rng(5)
-        graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, 30, density=1.0))
+        graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density=1.0))
         rows = oracle_walk_rows(graph.weights)
         assert len(rows) > 4 * _WALK_CHUNK_ROWS
         model = write_model(tmp_path / "model.json", graph.weights)
@@ -566,6 +570,51 @@ class TestSummaryWriter:
         summary = run(AnalysisConfig(methods=("nstc",), output_dir=str(tmp_path)))
         assert "walks" not in summary["methods"]["nstc"]
         assert "walks" not in json.loads((tmp_path / "summary.json").read_text())["methods"]["nstc"]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e150])
+    def test_exponent_notation_walk_tree(self, tmp_path, scale):
+        # every product, and at 1e150 every weight, is written in exponent notation
+        rng = np.random.default_rng(40)
+        weights = scale * random_signed_digraph_weights(rng, 40, density=0.5)
+        rows = oracle_walk_rows(weights)
+        assert len(rows) > 3 * _WALK_CHUNK_ROWS
+        assert all("e" in "%.6g" % row[-1] for row in rows)
+        model = write_model(tmp_path / "model.json", weights)
+        run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(tmp_path)))
+        assert (tmp_path / "walk_tree.csv").read_text() == _csv(list(WALK_COLUMNS), rows)
+
+
+def g6_texts(values):
+    """The lines `_g6_lines` writes for `values`, its NULs dropped."""
+    lanes = _g6_lines(np.array(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in lanes]
+
+
+# a rounding tie of the sixth digit, or a switch of notation or of exponent, at or near each
+G6_EDGES = [0.0001, 9.999995e-05, 9.99999e-05, 99999.95, 999999.5, 123456.5, 1e-05, 1e06, 5e-324]
+
+
+class TestG6Lines:
+    """`_g6_lines` against Python's own `"%.6g"`, which the walk rows must match byte for byte."""
+
+    @given(values=st.lists(st.floats(), min_size=1, max_size=64))
+    @example(values=[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.7976931348623157e308])
+    @example(values=[-1.7976931348623157e308, float("inf"), float("-inf"), float("nan")])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_python_format(self, values):
+        assert g6_texts(values) == ["%.6g\n" % v for v in values]
+
+    @pytest.mark.parametrize("value", G6_EDGES)
+    def test_edges_and_their_neighbours(self, value):
+        x = np.array([value, -value])
+        values = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)]).tolist()
+        assert g6_texts(values) == ["%.6g\n" % v for v in values]
+
+    @pytest.mark.parametrize("digits", ["1.234565", "9.999995", "9.99999", "1.000005", "1"])
+    def test_every_exponent(self, digits):
+        x = np.array([float(f"{digits}e{k}") for k in range(-323, 309)])
+        values = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, 0.0), -x]).tolist()
+        assert g6_texts(values) == ["%.6g\n" % v for v in values]
 
 
 class TestCli:
