@@ -23,6 +23,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -81,19 +82,26 @@ class AnalysisConfig:
         self.hyperparams()
 
     def delta_grid(self) -> list[float]:
-        """The sweep's perturbation sizes, from delta_min to delta_max in delta_step
-        steps; a grid of more than MAX_DELTA_POINTS is refused at its next point."""
-        grid = []
-        while (d := self.delta_min + len(grid) * self.delta_step) <= self.delta_max + 1e-12:
-            if len(grid) == MAX_DELTA_POINTS:
-                raise BadParameter(
-                    f"delta_step={self.delta_step} from delta_min={self.delta_min} to "
-                    f"delta_max={self.delta_max} gives more than {MAX_DELTA_POINTS} grid points"
-                )
-            grid.append(round(d, 12))
-        if not grid:
+        """The sweep's perturbation sizes, delta_min + k * delta_step up to delta_max:
+        worked out exactly on the decimal forms (`repr`) of the three numbers, so that
+        0.1 + 2 * 0.1 is 0.3, and rounded to the nearest float64 only then. An empty
+        grid, one of more than MAX_DELTA_POINTS points, and one that float64 cannot hold
+        (two points round to one float, or a point other than 0 rounds to 0) are refused."""
+        lo, hi, step = (Fraction(repr(x)) for x in (self.delta_min, self.delta_max, self.delta_step))
+        count = (hi - lo) // step + 1
+        if count < 1:
+            raise BadParameter(f"empty delta grid: delta_min={self.delta_min} delta_max={self.delta_max}")
+        if count > MAX_DELTA_POINTS:
             raise BadParameter(
-                f"empty delta grid: delta_min={self.delta_min} delta_max={self.delta_max}"
+                f"delta_step={self.delta_step} from delta_min={self.delta_min} to "
+                f"delta_max={self.delta_max} gives more than {MAX_DELTA_POINTS} grid points"
+            )
+        points = [lo + k * step for k in range(count)]
+        grid = [float(p) for p in points]
+        if any(a >= b for a, b in zip(grid, grid[1:])) or any(p and not d for p, d in zip(points, grid)):
+            raise BadParameter(
+                f"delta_step={self.delta_step} is below float64's resolution from delta_min="
+                f"{self.delta_min} to delta_max={self.delta_max}: grid points would coincide or be 0"
             )
         return grid
 
@@ -140,16 +148,10 @@ def concordance(tables: dict[str, NodeScoreTable], top_k: int) -> ConcordanceRep
     return ConcordanceReport(top_k=top_k, pairs=pairs)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.6g}"
-
-
 def _csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+        lines.append(",".join(c if isinstance(c, str) else "" if c is None else f"{c:.6g}" for c in row))
     return "\n".join(lines) + "\n"
 
 
@@ -168,21 +170,11 @@ _G6_TIE_MARGIN = 1e-6  # a scaled value this near a rounding tie goes to Python:
 _G6_EXPONENTS = range(-302, 310)  # the decimal exponents `_g6_lines` formats itself
 
 
-def _word_text(digits: np.ndarray, point: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Each row of three digit characters as at most 4 bytes of NUL-padded text, in the
-    low half of a `_LANE`: the digits up to the last of the first `kept` and the one at
-    `point` (the digit before the point, or -1), and a point after the one at `point`
-    if one of the first `kept` comes after it."""
-    place = np.arange(4)
-    dot = np.where((point >= 0) & (point + 1 < kept), point, 9)[:, None]  # 9: none
-    shown = np.minimum(np.maximum(kept, point + 1), 3)[:, None] + (place > dot)
-    padded = np.zeros((len(digits), 5), np.uint8)
-    padded[:, 1:4] = digits
-    text = np.zeros((len(digits), 8), np.uint8)
-    text[:, :4] = np.where(place > dot, padded[:, :4], padded[:, 1:])  # after the point, one digit back
-    text[:, :4][place >= shown] = 0
-    text[:, :4][place == dot + 1] = ord(".")
-    return text.view(_LANE).ravel()
+def _word_text(word: str, point: int, shown: int) -> str:
+    """The 3-digit `word` up to its `shown`th digit and the one at `point`, with a
+    decimal point after the one at `point` if a shown digit follows it."""
+    text = word[: shown if shown > point else point + 1]
+    return text[: point + 1] + "." + text[point + 1 :] if 0 <= point < shown - 1 else text
 
 
 @functools.cache
@@ -191,10 +183,15 @@ def _g6_tables() -> tuple:
     exponent e (as e - min(_G6_EXPONENTS)), its six digits as two 3-digit words, or both:
     - the float64 nearest 10**(5 - e);
     - lane 0: the sign, then "0.", "0.0", "0.00" or "0.000" for e = -1..-4;
-    - lane 1: the high word's text (see `_word_text`), which depends also on whether
-      the low word is 0, and where a high word of 1000, a carry, reads as 100; plus
-      the low word's text, shifted into the upper half;
+    - lane 1: the high word's text, plus the low word's text shifted into the upper half;
     - lane 2: "e+308" in exponent notation, then the newline.
+    A word's text is `_word_text` of the word at `point`, the index of the digit before
+    the decimal point (e; 0 in exponent notation; -1 below 1). The high table has a row
+    per word, point -1..3 (3 for e >= 3, which leaves the point to the low word) and
+    whether the low word is 0: then the word is shown up to its last nonzero digit,
+    else whole (shown 4, so that "123." can end it); a high word of 1000, a carry,
+    reads as 100. A low word's text is the high table's entry for it with a zero low
+    word at point e - 3, clipped to -1..2, so the low table is a slice of the high one.
     """
     e = np.array(_G6_EXPONENTS)
     powers = np.array([float(f"1e{5 - k}") for k in _G6_EXPONENTS])
@@ -202,13 +199,10 @@ def _g6_tables() -> tuple:
     high_key = 2 * (np.minimum(point, 3) + 1)  # + 10 * high word + (low word == 0)
     low_key = np.clip(point - 2, 0, 3)  # + 4 * low word
     words = [f"{w:03d}" for w in range(1000)] + ["100"]
-    digits = np.array(words, "S3").view(np.uint8).reshape(-1, 3)
-    kept = np.array([len(w.rstrip("0")) for w in words])  # up to the last nonzero digit
-    word = np.repeat(np.arange(1001), 10)
-    point = np.tile(np.repeat(np.arange(-1, 4), 2), 1001)
-    high = _word_text(digits[word], point, np.where(np.tile([False, True], 5005), kept[word], 4))
-    word = np.repeat(np.arange(1000), 4)
-    low = _word_text(digits[word], np.tile(np.arange(-1, 3), 1000), kept[word]) * (1 << 32)
+    shown = ([4] * len(words), [len(w.rstrip("0")) for w in words])  # all; up to the last nonzero digit
+    columns = ([_word_text(w, p, s) for w, s in zip(words, counts)] for p in range(-1, 4) for counts in shown)
+    high = np.hstack([_lanes(texts) for texts in columns]).ravel()  # a column at a time, so few strings are held
+    low = high.reshape(1001, 5, 2)[:1000, :4, 1].ravel() << 32
     prefix = [sign + ("0." + "0" * (-k - 1) if -4 <= k < 0 else "") for k in _G6_EXPONENTS for sign in ("", "-")]
     suffix = ["\n" if -4 <= k <= 5 else f"e{k:+03d}\n" for k in _G6_EXPONENTS]
     return powers, _lanes(prefix).ravel(), high, low, _lanes(suffix).ravel(), high_key, low_key

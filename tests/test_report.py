@@ -1,15 +1,17 @@
 import itertools
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from netinstab import (
@@ -202,7 +204,7 @@ class TestConfig:
         assert texts[0] == texts[1]
 
     def test_grid_at_the_point_cap_accepted(self):
-        # the cap counts the grid's points, with the grid's own end tolerance
+        # the cap counts the grid's points; a delta_max just past the last one adds none
         for delta_max in (999.0, 999.0000000000001):
             config = AnalysisConfig(delta_min=0.0, delta_max=delta_max, delta_step=1.0)
             assert len(config.delta_grid()) == MAX_DELTA_POINTS
@@ -212,6 +214,84 @@ class TestConfig:
     def test_empty_grid_rejected_before_running(self):
         with pytest.raises(BadParameter, match="empty delta grid: delta_min=3"):
             AnalysisConfig(delta_min=3, delta_max=0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs, grid",
+        [
+            ({}, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+            (dict(delta_min=0.1, delta_max=0.7, delta_step=0.1), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]),
+            # below 1e-12, where rounding each point to 12 decimals made most of them 0.0
+            (dict(delta_min=1e-13, delta_max=5e-13, delta_step=1e-13), [1e-13, 2e-13, 3e-13, 4e-13, 5e-13]),
+            (dict(delta_min=2.5e-13, delta_max=2.5e-13), [2.5e-13]),
+            # 1e16 + 1 is 1e16 in float64, but it is past delta_max
+            (dict(delta_min=1e16, delta_max=1e16, delta_step=1), [1e16]),
+            (dict(delta_min=-0.0, delta_max=1.0), [0.0, 0.5, 1.0]),
+        ],
+    )
+    def test_grid_points(self, kwargs, grid):
+        got = AnalysisConfig(**kwargs).delta_grid()
+        assert got == grid
+        assert [math.copysign(1, d) for d in got] == [math.copysign(1, d) for d in grid]  # -0.0 is 0.0
+
+    @pytest.mark.parametrize(
+        "delta_min, delta_max, delta_step",
+        [
+            (1e16, 1e16 + 4, 1),  # points 1e16 + 1 and 1e16 + 3 are no float64 of their own
+            (-4.4e-323, 1e-322, 1.5e-323),  # one point is 1e-324, which float64 rounds to 0.0
+        ],
+    )
+    def test_grid_float64_cannot_hold_is_refused(self, delta_min, delta_max, delta_step):
+        with pytest.raises(BadParameter, match="delta_step=.* below float64's resolution"):
+            AnalysisConfig(delta_min=delta_min, delta_max=delta_max, delta_step=delta_step)
+
+    def test_tenth_step_grids_keep_their_values(self):
+        # the values that rounding each naive sum to 12 decimals gave, up to 3.0
+        for lo, hi in itertools.combinations_with_replacement(range(31), 2):
+            delta_min, delta_max = lo / 10, hi / 10
+            naive = [round(delta_min + k * 0.1, 12) for k in range(hi - lo + 1)]
+            assert AnalysisConfig(delta_min=delta_min, delta_max=delta_max, delta_step=0.1).delta_grid() == naive
+
+    @given(
+        lo=st.integers(-999, 999),
+        step=st.integers(1, 999),
+        exponent=st.integers(-330, 300),
+        finer=st.integers(-2, 19),  # the step's exponent below delta_min's
+        points=st.integers(0, 40),
+        past=st.sampled_from([-1, 0, 1, 5, 9]),  # tenths of a step past the last point
+    )
+    @example(lo=1, step=1, exponent=16, finer=16, points=4, past=0)  # 1e16 in steps of 1
+    @example(lo=1, step=1, exponent=-13, finer=0, points=4, past=0)
+    @settings(max_examples=300, deadline=None)
+    def test_grid_is_the_exact_decimal_grid(self, lo, step, exponent, finer, points, past):
+        """Every point lies in [delta_min, delta_max], is the float64 nearest
+        delta_min + k * delta_step worked out exactly, and is told apart from its
+        neighbours and, unless that sum is 0, from 0; otherwise the grid is refused."""
+        exact_min, exact_step = Decimal(f"{lo}e{exponent}"), Decimal(f"{step}e{exponent - finer}")
+        delta_min, delta_step = float(exact_min), float(exact_step)
+        assume(delta_step > 0 and math.isfinite(delta_min + 50 * delta_step))
+        delta_max = float(exact_min + (10 * points + past) * exact_step / 10)
+        with localcontext(prec=1000):
+            first, last, stride = (Decimal(repr(x)) for x in (delta_min, delta_max, delta_step))
+            count = math.floor((last - first) / stride) + 1  # delta_max may round far past the last point
+            exact = [first + k * stride for k in range(min(count, MAX_DELTA_POINTS))]
+        want = list(map(float, exact))
+        refusal = (
+            "empty delta grid" if count < 1
+            else f"more than {MAX_DELTA_POINTS} grid points" if count > MAX_DELTA_POINTS
+            else "delta_step=.* below float64's resolution" if any(a >= b for a, b in zip(want, want[1:]))
+            or any(p and not d for p, d in zip(exact, want))
+            else None
+        )
+        kwargs = dict(delta_min=delta_min, delta_max=delta_max, delta_step=delta_step)
+        if refusal:
+            with pytest.raises(BadParameter, match=refusal):
+                AnalysisConfig(**kwargs)
+            return
+        grid = AnalysisConfig(**kwargs).delta_grid()
+        assert grid == want
+        assert all(delta_min <= d <= delta_max for d in grid)
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+        assert all(d or not p for p, d in zip(exact, grid))
 
 
 def _state(w):
@@ -616,6 +696,17 @@ class TestG6Lines:
         values = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, 0.0), -x]).tolist()
         assert g6_texts(values) == ["%.6g\n" % v for v in values]
 
+    def test_every_table_entry(self):
+        # every high word with a zero and with a nonzero low word, and every low word,
+        # at each place of the point in fixed notation and in exponent notation on both
+        # sides, each with a value that carries into the next power of 10
+        high = np.arange(100, 1000)
+        digits = np.concatenate([high * 1000, high * 1000 + 1000 - high, 123000 + np.arange(1000)])
+        values = [float(f"{d}e{e - 5}") for e in range(-5, 7) for d in [*digits.tolist(), "999999.7"]]
+        values += [-v for v in values]
+        assert len(values) > 50_000
+        assert g6_texts(values) == ["%.6g\n" % v for v in values]
+
 
 class TestCli:
     def test_analyze_and_concordance(self, tmp_path, capsys):
@@ -668,6 +759,13 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         expected = AnalysisConfig(model_path="piezo", methods=("nstc",), output_dir=str(out))
         assert summary["config"] == json.loads(json.dumps(asdict(expected)))
+
+    def test_deltas_below_1e_12_are_kept(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["analyze", "--model", "piezo", "--method", "spectral", "--out", str(out)]
+        assert main([*argv, "--delta-min", "1e-13", "--delta-max", "5e-13", "--delta-step", "1e-13"]) == 0
+        deltas = json.loads((out / "summary.json").read_text())["methods"]["spectral"]["deltas"]
+        assert deltas == [0.0, 1e-13, 2e-13, 3e-13, 4e-13, 5e-13]
 
     def test_variant_of_a_model_file_fails_before_out(self, tmp_path, capsys):
         model = write_model(tmp_path / "n1.json", [[0.5]])

@@ -189,6 +189,17 @@ class TestEigenvalues:
         m = random_signed_digraph_weights(np.random.default_rng(seed), n)
         assert_svd_oracle_holds(m, eigenvalues(m))
 
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(16, 64),
+        density=st.sampled_from([0.02, 0.1, 0.4, 1.0]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_svd_oracle_random_at_size(self, seed, n, density):
+        # sparse draws have many exactly zero and repeated eigenvalues
+        m = random_signed_digraph_weights(np.random.default_rng(seed), n, density)
+        assert_svd_oracle_holds(m, eigenvalues(m))
+
     @pytest.mark.parametrize("name", list(hard_matrices()))
     def test_svd_oracle_hard_cases(self, name):
         m = hard_matrices()[name]
