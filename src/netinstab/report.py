@@ -9,12 +9,12 @@ reproduce byte-identical files.
 The two-step walks are almost all of the output. `walk_tree.csv` is the one
 place that lists them; summary.json holds each node's walk count (`n_paths`)
 but not the walks. Their rows are built straight from the `Walks` columns
-(`_walk_csv`) and written in blocks, so the text is never held whole. A block
-is one array of byte lanes, a row per walk: the node, pair and weight text
-comes from tables that Python formats once per node or edge, and the products'
-from `_g6_lines`, a vectorised `%.6g` that hands to Python's own every value
-it cannot show it rounds the same way. So the file is Python's `%.6g` text,
-byte for byte.
+(`_walk_csv`) and written in blocks of about `_WALK_BLOCK_BYTES`, so the text
+is never held whole. A block is one array of byte lanes, a row per walk: the
+node and pair text comes from tables that Python formats once per node or edge,
+and the weights' (once per edge) and the products' text from `_g6_lines`, a
+vectorised `%.6g` that hands to Python's own every value it cannot show it
+rounds the same way. So the file is Python's `%.6g` text, byte for byte.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 from .walks import Walks
 
 WALK_COLUMNS = ("start", "mid", "end", "w1", "w2", "product")  # walk_tree.csv's header
-_WALK_CHUNK_ROWS = 1024  # walk rows formatted per block, which bounds the text and arrays held at once
+_WALK_BLOCK_BYTES = 1 << 19  # bytes of walk rows formatted per block; the arrays and text held at once are a few times this
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
 # each grid point but delta = 0 costs one O(n^3) eigenvalues-only solve per node,
 # verified at matrix-product cost (a sweep takes 0.7-0.9 ms per cell at n = 48 on
@@ -260,13 +260,16 @@ def _walk_csv(walks: Walks, weights):
     """The text of `walk_tree.csv`, in pieces: `_csv` of one (start, mid, end, w1, w2, product)
     row per walk, where w1 and w2 are the `weights` of its two edges, every number `%.6g`.
 
-    Python formats each node index, and each edge's (start, mid) pair and weight, once,
-    into tables of NUL-padded 8-byte lanes (`_lanes`) read by node or edge id. The
-    products are formatted by `_g6_lines`: a product whose six scaled digits lie
-    within `_G6_TIE_MARGIN` of a rounding tie, and one that is 0, subnormal or not
-    finite, goes through Python's own `"%.6g"`, once per block for all of them.
-    Each block of `_WALK_CHUNK_ROWS` walks becomes one array of lanes, a row per
-    walk, whose NULs are then dropped.
+    Python formats each node index and each edge's (start, mid) pair once, and
+    `_g6_lines` each edge's weight, into tables of NUL-padded 8-byte lanes (`_lanes`)
+    read by node or edge id. The products are formatted by `_g6_lines` too: a value
+    whose six scaled digits lie within `_G6_TIE_MARGIN` of a rounding tie, and one
+    that is 0, subnormal or not finite, goes through Python's own `"%.6g"`, once per
+    call for all of them. Each block of walks becomes one array of lanes, a row per
+    walk, whose NULs are then dropped. A block holds as many rows as fit in
+    `_WALK_BLOCK_BYTES`, at least one: bounded in bytes, not rows, so that rows widened
+    by long node indices or exponents keep the memory bound, while blocks stay large
+    enough to amortise the few dozen numpy calls each one costs.
     """
     yield ",".join(WALK_COLUMNS) + "\n"
     if not len(walks):
@@ -279,11 +282,12 @@ def _walk_csv(walks: Walks, weights):
     nodes = ["%.6g" % k for k in range(n)]
     pair_text = _lanes([f"{nodes[e // n]},{nodes[e % n]}," for e in edges.tolist()])
     end_text = _lanes([f"{v}," for v in nodes])
-    weight_text = _lanes(list(map("%.6g,".__mod__, flat[edges].tolist())))
+    weight_text = _lanes([w + "," for w in _g6_lines(flat[edges]).tobytes().translate(None, b"\0").decode().split()])
     tables = (pair_text, end_text, weight_text, weight_text)
     lanes = np.cumsum([0, *(table.shape[1] for table in tables), _G6_LANES])
-    for lo in range(0, len(walks), _WALK_CHUNK_ROWS):
-        block = slice(lo, lo + _WALK_CHUNK_ROWS)
+    block_rows = max(1, _WALK_BLOCK_BYTES // (_LANE.itemsize * lanes[-1]))
+    for lo in range(0, len(walks), block_rows):
+        block = slice(lo, lo + block_rows)
         mid, end = walks.mid[block], walks.end[block]
         first, second = edge_id[walks.start[block] * n + mid], edge_id[mid * n + end]
         rows = np.empty((len(mid), lanes[-1]), _LANE)

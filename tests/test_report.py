@@ -40,19 +40,21 @@ from netinstab import (
 from netinstab import report
 from netinstab.cli import main
 from netinstab.report import (
-    _WALK_CHUNK_ROWS,
+    _WALK_BLOCK_BYTES,
     CONVERGENCE_LOSS,
     MAX_DELTA_POINTS,
     WALK_COLUMNS,
     _csv,
     _g6_lines,
+    _walk_csv,
     concordance_from_summary,
     run,
     tables_from_summary,
 )
+from netinstab.walks import all_walks
 from conftest import random_signed_digraph_weights
 from test_agcn import sequential_train
-from test_walks import extreme_digraphs, oracle_walk_rows
+from test_walks import extreme_digraphs, oracle_walk_rows, walk_row_bytes
 
 
 def write_model(path, weights):
@@ -618,22 +620,24 @@ class TestSummaryWriter:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_several_default_chunks(self, tmp_path):
-        # the smallest complete digraph (self-loops too, at density 1) with over four blocks of walks
-        n = next(n for n in itertools.count(3) if n * (n - 1) * (n - 2) > 4 * _WALK_CHUNK_ROWS)
+        # the smallest complete digraph (self-loops too, at density 1) with over four blocks
+        # of walks at 72-byte rows: weights of 2 lanes ("-1.23456,"), products of 3
+        n = next(n for n in itertools.count(3) if n * (n - 1) * (n - 2) > 4 * (_WALK_BLOCK_BYTES // 72))
         rng = np.random.default_rng(5)
         graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density=1.0))
         rows = oracle_walk_rows(graph.weights)
-        assert len(rows) > 4 * _WALK_CHUNK_ROWS
+        assert walk_row_bytes(graph.weights) == 72
+        assert len(list(_walk_csv(all_walks(graph), graph.weights))) > 5  # the header and over four blocks
         model = write_model(tmp_path / "model.json", graph.weights)
         summary = run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(tmp_path)))
         assert (tmp_path / "walk_tree.csv").read_text() == _csv(list(WALK_COLUMNS), rows)
         expected = json.dumps(summary, indent=2, sort_keys=True)
         assert (tmp_path / "summary.json").read_text() == expected
 
-    @given(graph=extreme_digraphs(), chunk_rows=st.integers(1, 5))
+    @given(graph=extreme_digraphs(), block_bytes=st.integers(1, 400))  # down to a row a block
     @settings(max_examples=100, deadline=None)
-    def test_run_writes_the_returned_summary_and_walk_rows(self, graph, chunk_rows):
-        with tempfile.TemporaryDirectory() as d, mock.patch("netinstab.report._WALK_CHUNK_ROWS", chunk_rows):
+    def test_run_writes_the_returned_summary_and_walk_rows(self, graph, block_bytes):
+        with tempfile.TemporaryDirectory() as d, mock.patch("netinstab.report._WALK_BLOCK_BYTES", block_bytes):
             out = Path(d) / "out"
             model = write_model(Path(d) / "model.json", graph.weights)
             try:
@@ -655,9 +659,9 @@ class TestSummaryWriter:
     def test_exponent_notation_walk_tree(self, tmp_path, scale):
         # every product, and at 1e150 every weight, is written in exponent notation
         rng = np.random.default_rng(40)
-        weights = scale * random_signed_digraph_weights(rng, 40, density=0.5)
+        weights = scale * random_signed_digraph_weights(rng, 64, density=0.5)
         rows = oracle_walk_rows(weights)
-        assert len(rows) > 3 * _WALK_CHUNK_ROWS
+        assert len(list(_walk_csv(all_walks(SignedWeightedDigraph(weights=weights)), weights))) > 4  # over three blocks
         assert all("e" in "%.6g" % row[-1] for row in rows)
         model = write_model(tmp_path / "model.json", weights)
         run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(tmp_path)))

@@ -18,7 +18,7 @@ from netinstab import (
     two_step_walks,
 )
 from netinstab.cli import main
-from netinstab.report import WALK_COLUMNS, AnalysisConfig, _csv, _walk_csv, run
+from netinstab.report import _WALK_BLOCK_BYTES, WALK_COLUMNS, AnalysisConfig, _csv, _walk_csv, run
 from netinstab.walks import all_walks
 from conftest import random_signed_digraph_weights
 
@@ -54,6 +54,16 @@ def oracle_walk_rows(weights):
     n = weights.shape[0]
     walks = [w for start in range(n) for w in oracle_walks(weights, start)]
     return [(k, i, j, w1, w2, float(w1) * float(w2)) for k, i, j, w1, w2 in walks]
+
+
+def walk_row_bytes(weights):
+    """The bytes of each `_walk_csv` row: its (start, mid), end, w1 and w2 texts, each with
+    its comma and NUL-padded to whole 8-byte lanes as wide as the widest of its kind
+    (every edge's, every node's), and the product's three lanes."""
+    edges = list(zip(*np.nonzero(weights)))
+    texts = [f"{k},{i}," for k, i in edges], [f"{j}," for j in range(len(weights))], ["%.6g," % weights[e] for e in edges]
+    pair, end, weight = (-(-max(map(len, t), default=0) // 8) * 8 for t in texts)
+    return pair + end + 2 * weight + 24
 
 
 def oracle_nstc(weights, node):
@@ -207,13 +217,36 @@ class TestVectorisedWalks:
         assert nstc(graph, 0).nstc == 0.0
         assert nstc_table(graph)[0].nstc == 0.0
 
-    @given(graph=signed_digraphs() | extreme_digraphs(), chunk_rows=st.integers(1, 5))
+    @given(graph=signed_digraphs() | extreme_digraphs(), data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_walk_tree_bytes_equal_generic_csv(self, graph, chunk_rows):
-        walks = all_walks(graph)
-        with mock.patch("netinstab.report._WALK_CHUNK_ROWS", chunk_rows):
-            text = "".join(_walk_csv(walks, graph.weights))
-        assert text == _csv(list(WALK_COLUMNS), oracle_walk_rows(graph.weights))
+    def test_walk_tree_bytes_equal_generic_csv(self, graph, data):
+        width = walk_row_bytes(graph.weights)
+        block_bytes = data.draw(st.integers(1, 4 * width), label="block_bytes")  # up to four rows a block
+        with mock.patch("netinstab.report._WALK_BLOCK_BYTES", block_bytes):
+            header, *pieces = _walk_csv(all_walks(graph), graph.weights)
+        rows = oracle_walk_rows(graph.weights)
+        assert header + "".join(pieces) == _csv(list(WALK_COLUMNS), rows)
+        # every block but the last is full, and none holds more rows than fit in the bound
+        block_rows = max(1, block_bytes // width)
+        full, rest = divmod(len(rows), block_rows)
+        assert [piece.count("\n") for piece in pieces] == [block_rows] * full + [rest] * (rest > 0)
+
+    @pytest.mark.parametrize("block_bytes", [_WALK_BLOCK_BYTES, 200])  # one block, or two rows a block
+    def test_walk_tree_with_four_digit_nodes(self, block_bytes):
+        # "1004,1199," takes two lanes, so rows are wider than below node 1000
+        nodes = [*range(3), *range(995, 1005), *range(1195, 1200)]
+        w = np.zeros((1200, 1200))
+        w[np.ix_(nodes, nodes)] = random_signed_digraph_weights(np.random.default_rng(1000), len(nodes), density=0.6)
+        # the oracle's loop over every triple of the 1,200 nodes, restricted to the ones with edges
+        rows = [
+            (k, i, j, w[k, i], w[i, j], float(w[k, i]) * float(w[i, j]))
+            for k, i, j in product(nodes, repeat=3)
+            if len({k, i, j}) == 3 and w[k, i] != 0 and w[i, j] != 0
+        ]
+        assert len(rows) > 1000 and walk_row_bytes(w) == 80
+        with mock.patch("netinstab.report._WALK_BLOCK_BYTES", block_bytes):
+            text = "".join(_walk_csv(all_walks(SignedWeightedDigraph(weights=w)), w))
+        assert text == _csv(list(WALK_COLUMNS), rows)
 
 
 OVERFLOWING = {
