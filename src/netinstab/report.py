@@ -8,13 +8,15 @@ reproduce byte-identical files.
 
 The two-step walks are almost all of the output. `walk_tree.csv` is the one
 place that lists them; summary.json holds each node's walk count (`n_paths`)
-but not the walks. Their rows are built straight from the `Walks` columns
-(`_walk_csv`) and written in blocks of about `_WALK_BLOCK_BYTES`, so the text
-is never held whole. A block is one array of byte lanes, a row per walk: the
-node and pair text comes from tables that Python formats once per node or edge,
-and the weights' (once per edge) and the products' text from `_g6_lines`, a
-vectorised `%.6g` that hands to Python's own every value it cannot show it
-rounds the same way. So the file is Python's `%.6g` text, byte for byte.
+but not the walks. `walks.walk_blocks` enumerates and scores them a block of
+whole start nodes at a time, and `_walk_csv` formats each block's rows (about
+`_WALK_BLOCK_BYTES`) as they are written, so neither walks nor text are held
+whole; nstc.csv and the summary are made from the scores afterwards. A block
+is one array of byte lanes, a row per walk: the node and pair text comes from
+tables that Python formats once per node or edge, and the weights' (once per
+edge) and the products' text from `_g6_lines`, a vectorised `%.6g` that hands
+to Python's own every value it cannot show it rounds the same way. So the
+file is Python's `%.6g` text, byte for byte.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ from . import agcn, motifs, spectral, walks
 from .errors import BadParameter, real_number, sequence, whole_number
 from .graph import load_model
 from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
-from .walks import Walks
 
 WALK_COLUMNS = ("start", "mid", "end", "w1", "w2", "product")  # walk_tree.csv's header
 _WALK_BLOCK_BYTES = 1 << 19  # bytes of walk rows formatted per block; the arrays and text held at once are a few times this
@@ -161,8 +162,8 @@ _LANE = np.dtype("<i8")  # little-endian, so a lane's first text byte is its low
 def _lanes(texts: list[str]) -> np.ndarray:
     """`texts` as rows of ASCII bytes, NUL-padded to a whole number of 8-byte lanes and
     viewed as `_LANE`s, which numpy gathers and copies faster than single bytes."""
-    width = -(-max(map(len, texts)) // 8) * 8
-    return np.array(texts, f"S{width}").view(_LANE).reshape(len(texts), -1)
+    width = -(-max(map(len, texts), default=1) // 8) * 8  # no texts: a table of no rows
+    return np.array(texts, f"S{width}").view(_LANE).reshape(len(texts), width // 8)
 
 
 _G6_LANES = 3  # `_g6_lines`' 8-byte lanes per value
@@ -242,6 +243,7 @@ def _g6_lines(x: np.ndarray) -> np.ndarray:
         high = np.floor(d / 1000)  # exact: d is a whole number below 2**53
         low = (d - 1000 * high).astype(np.int64)
         high = high.astype(np.int64)
+    del a, binary, s, d  # before the text is assembled, which a block's memory peaks at
     e += high == 1000  # rounded up to the next power of 10
     ok &= (e >= 0) & (e < len(powers))
     text = np.empty((len(x), _G6_LANES), _LANE)
@@ -256,25 +258,24 @@ def _g6_lines(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _walk_csv(walks: Walks, weights):
+def _walk_csv(graph, rows: list):
     """The text of `walk_tree.csv`, in pieces: `_csv` of one (start, mid, end, w1, w2, product)
-    row per walk, where w1 and w2 are the `weights` of its two edges, every number `%.6g`.
+    row per walk, where w1 and w2 are the weights of its two edges, every number `%.6g`.
+    `rows` gets each start node's `NstcRow` as its walks are formatted.
 
     Python formats each node index and each edge's (start, mid) pair once, and
     `_g6_lines` each edge's weight, into tables of NUL-padded 8-byte lanes (`_lanes`)
     read by node or edge id. The products are formatted by `_g6_lines` too: a value
     whose six scaled digits lie within `_G6_TIE_MARGIN` of a rounding tie, and one
     that is 0, subnormal or not finite, goes through Python's own `"%.6g"`, once per
-    call for all of them. Each block of walks becomes one array of lanes, a row per
-    walk, whose NULs are then dropped. A block holds as many rows as fit in
-    `_WALK_BLOCK_BYTES`, at least one: bounded in bytes, not rows, so that rows widened
-    by long node indices or exponents keep the memory bound, while blocks stay large
-    enough to amortise the few dozen numpy calls each one costs.
+    call for all of them. Each block of `walks.walk_blocks` becomes one array of lanes,
+    a row per walk, whose NULs are then dropped. A block holds as many rows as fit in
+    `_WALK_BLOCK_BYTES`, or one start node's: bounded in bytes, not rows, so that rows
+    widened by long node indices or exponents keep the memory bound, while blocks stay
+    large enough to amortise the few dozen numpy calls each one costs.
     """
     yield ",".join(WALK_COLUMNS) + "\n"
-    if not len(walks):
-        return
-    n = len(weights)
+    weights, n = graph.weights, graph.n
     flat = weights.ravel()
     edges = np.flatnonzero(flat)
     edge_id = np.zeros(flat.size, np.int32)
@@ -285,16 +286,17 @@ def _walk_csv(walks: Walks, weights):
     weight_text = _lanes([w + "," for w in _g6_lines(flat[edges]).tobytes().translate(None, b"\0").decode().split()])
     tables = (pair_text, end_text, weight_text, weight_text)
     lanes = np.cumsum([0, *(table.shape[1] for table in tables), _G6_LANES])
-    block_rows = max(1, _WALK_BLOCK_BYTES // (_LANE.itemsize * lanes[-1]))
-    for lo in range(0, len(walks), block_rows):
-        block = slice(lo, lo + block_rows)
-        mid, end = walks.mid[block], walks.end[block]
-        first, second = edge_id[walks.start[block] * n + mid], edge_id[mid * n + end]
-        rows = np.empty((len(mid), lanes[-1]), _LANE)
-        for table, key, start, stop in zip(tables, (first, end, first, second), lanes, lanes[1:]):
-            rows[:, start:stop] = np.take(table, key, axis=0)
-        rows[:, lanes[-2]:] = _g6_lines(walks.product[block])
-        yield rows.tobytes().translate(None, b"\0").decode("ascii")
+    for block, block_rows in walks.walk_blocks(graph, max(1, _WALK_BLOCK_BYTES // (_LANE.itemsize * lanes[-1]))):
+        rows += block_rows
+        if not len(block):
+            continue
+        first, second = edge_id[block.start * n + block.mid], edge_id[block.mid * n + block.end]
+        text = np.empty((len(block), lanes[-1]), _LANE)
+        for table, key, start, stop in zip(tables, (first, block.end, first, second), lanes, lanes[1:]):
+            text[:, start:stop] = np.take(table, key, axis=0)
+        text[:, lanes[-2]:] = _g6_lines(block.product)
+        text = text.tobytes()  # the lanes go before the copy is translated
+        yield text.translate(None, b"\0").decode("ascii")
 
 
 def _ranking(table: NodeScoreTable) -> dict:
@@ -305,7 +307,7 @@ def _ranking(table: NodeScoreTable) -> dict:
     }
 
 
-def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
+def _run_attention(config: AnalysisConfig, graph, features, write) -> tuple:
     if config.perturb_node is not None:
         features = agcn.perturb_features(features, config.perturb_node, config.perturb_factor)
     trained = agcn.train_seeds(graph, features, graph.node_labels, config.hyperparams(), config.seeds)
@@ -315,15 +317,10 @@ def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
     representative = next((s for s in config.seeds if converged[s]), config.seeds[0])
     state, table = states[representative], tables[representative]
 
-    texts = (
-        _csv(["iteration", "loss"], [[i, loss] for i, loss in enumerate(state.loss_history)]),
-        _csv([f"to_{j}" for j in range(graph.n)], state.alpha.tolist()),
-        _csv(
-            ["node", "score", "rank"],
-            [[node, table.scores[node], table.rank_of(node)] for node in range(graph.n)],
-        ),
-    )
-    return table, texts, {
+    write(_csv(["iteration", "loss"], [[i, loss] for i, loss in enumerate(state.loss_history)]))
+    write(_csv([f"to_{j}" for j in range(graph.n)], state.alpha.tolist()))
+    write(_csv(["node", "score", "rank"], [[node, table.scores[node], table.rank_of(node)] for node in range(graph.n)]))
+    return table, {
         "representative_seed": representative,
         "perturb_node": config.perturb_node,
         "perturb_factor": config.perturb_factor if config.perturb_node is not None else None,
@@ -341,42 +338,32 @@ def _run_attention(config: AnalysisConfig, graph, features) -> tuple:
     }
 
 
-def _run_spectral(config: AnalysisConfig, graph, features) -> tuple:
+def _run_spectral(config: AnalysisConfig, graph, features, write) -> tuple:
     table = spectral.perturbation_sweep(graph, config.delta_grid())
     cells = [asdict(table.cells[key]) for key in sorted(table.cells)]
-    csv = _csv(
-        ["node", "delta", "largest_negative_eigenvalue", "status"],
-        [list(cell.values()) for cell in cells],
-    )
+    write(_csv(["node", "delta", "largest_negative_eigenvalue", "status"], [list(cell.values()) for cell in cells]))
     ranking = ranked_table("spectral", spectral.sweep_end_scores(table))
-    return ranking, (csv,), {"deltas": list(table.deltas), "cells": cells}
+    return ranking, {"deltas": list(table.deltas), "cells": cells}
 
 
-def _run_motifs(config: AnalysisConfig, graph, features) -> tuple:
+def _run_motifs(config: AnalysisConfig, graph, features, write) -> tuple:
     rows = [asdict(r) for r in motifs.motif_table(graph)]
-    csv = _csv(["node", "w3", "w4", "w5", "w6", "total_cost"], [list(r.values()) for r in rows])
-    table = ranked_table("motifs", [r["total_cost"] for r in rows])
-    return table, (csv,), {"rows": rows}
+    write(_csv(["node", "w3", "w4", "w5", "w6", "total_cost"], [list(r.values()) for r in rows]))
+    return ranked_table("motifs", [r["total_cost"] for r in rows]), {"rows": rows}
 
 
-def _run_nstc(config: AnalysisConfig, graph, features) -> tuple:
-    all_walks = walks.all_walks(graph)
-    rows = walks.nstc_table(graph, all_walks)
+def _run_nstc(config: AnalysisConfig, graph, features, write) -> tuple:
+    rows = []
+    write(_walk_csv(graph, rows))  # fills `rows` as the walks are written
     table = ranked_table("nstc", [r.nstc for r in rows])
-    texts = (
-        _csv(
-            ["node", "n_paths", "nstc", "rank"],
-            [[r.node, r.n_paths, r.nstc, table.rank_of(r.node)] for r in rows],
-        ),
-        _walk_csv(all_walks, graph.weights),
-    )
-    return table, texts, {"rows": [asdict(r) for r in rows]}
+    write(_csv(["node", "n_paths", "nstc", "rank"], [[r.node, r.n_paths, r.nstc, table.rank_of(r.node)] for r in rows]))
+    return table, {"rows": [asdict(r) for r in rows]}
 
 
-# Run order. Each runner maps (config, graph, features) to its ranking, the
-# texts of its CSV files in `ARTIFACTS` order (a string, or an iterable of
-# pieces that formats them as it is written) and its summary fields. It does
-# no I/O.
+# Run order. Each runner maps (config, graph, features, write) to its ranking and
+# summary fields. It hands `write`, the staged writer, each of its CSV files' texts
+# in `ARTIFACTS` order: a string, or pieces formatted as they are written, which a
+# later text may draw on. It does no I/O outside the staged writer.
 METHODS = {
     "attention": _run_attention,
     "spectral": _run_spectral,
@@ -388,7 +375,7 @@ ARTIFACTS = {
     "attention": ("loss_history.csv", "alpha.csv", "attention_scores.csv"),
     "spectral": ("spectral_sweep.csv",),
     "motifs": ("motif_costs.csv",),
-    "nstc": ("nstc.csv", "walk_tree.csv"),
+    "nstc": ("walk_tree.csv", "nstc.csv"),
 }
 
 
@@ -405,16 +392,18 @@ def run(config: AnalysisConfig) -> dict:
 
     A `perturb_node` outside the graph, a model without labels with
     `attention` selected, and a graph past the motif work bound
-    (`motifs.check_size`) are refused before any method runs or any file or
-    directory is written. Once every method has succeeded and the summary is
-    encoded, every file is written under a temporary name in the output
-    directory; only when all are written are the CSVs of the methods not run
-    removed (and no other file) and the files renamed into place, summary.json
-    last. So no CSV of an earlier run outlives its summary, and a run that
-    fails leaves the output directory's files as they were. A file that cannot
-    be written or removed (such as a directory in its place, which is looked
-    for before anything is written) raises `BadParameter` naming `output_dir`
-    and the file.
+    (`motifs.check_size`) are refused before any file or directory is written,
+    and a directory where a file goes before any method runs or any file is
+    written. Each method writes its CSVs under temporary names in the output
+    directory as it runs (the walk rows a block at a time, the nstc scores
+    found on the way); summary.json is encoded and written so once every CSV
+    is. Only then are the CSVs of the methods not run removed (and no other
+    file) and the files renamed into place, summary.json last. So no CSV of an
+    earlier run outlives its summary, and a run that fails, even part way
+    through the walk rows (an overflowing product in a late block), removes
+    its temporary files and leaves the output directory's files as they were.
+    A file that cannot be written or removed raises `BadParameter` naming
+    `output_dir` and the file.
     """
     graph, features = load_model(config.model_path, config.variant)
     if config.perturb_node is not None:
@@ -430,44 +419,37 @@ def run(config: AnalysisConfig) -> dict:
     except OSError as exc:
         raise BadParameter(f"output_dir {config.output_dir!r} cannot be created: {exc}") from exc
 
-    tables: dict[str, NodeScoreTable] = {}
-    files: dict = {}
-    method_summaries = {}
-    for name, runner in METHODS.items():
-        if name not in config.methods:
-            continue
-        table, texts, fields = runner(config, graph, features)
-        tables[name] = table
-        files.update(zip(ARTIFACTS[name], texts, strict=True))
-        method_summaries[name] = {**fields, **_ranking(table)}
+    selected = [method for method in METHODS if method in config.methods]
+    names = [*(file for method in selected for file in ARTIFACTS[method]), "summary.json"]
+    stale = [file for method in METHODS.keys() - selected for file in ARTIFACTS[method]]
+    files, tmp, name = iter(names), {}, None  # tmp: each file written so far -> its temporary path
 
-    summary = {
-        "config": asdict(config),
-        "n": graph.n,
-        "methods": method_summaries,
-    }
-    if len(tables) >= 2:
-        summary["concordance"] = asdict(concordance(tables, config.top_k))
-    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True)  # it can raise: before any write
-    stale = [file for method in METHODS.keys() - tables.keys() for file in ARTIFACTS[method]]
-    tmp = {name: out / f".{name}.{os.getpid()}.tmp" for name in files}
+    def write(text) -> None:  # the staged writer: the next of `names`, under a temporary name
+        nonlocal name
+        name = next(files)
+        tmp[name] = out / f".{name}.{os.getpid()}.tmp"
+        with open(tmp[name], "w", encoding="utf-8") as f:
+            f.writelines([text] if isinstance(text, str) else text)
+
+    tables, method_summaries = {}, {}
     try:
         # a directory in the way is the one rename or removal failure a user can cause
-        for name in [*tmp, *stale]:
+        for name in [*names, *stale]:
             if (out / name).is_dir():
                 raise IsADirectoryError(f"{out / name} is a directory")
-        for name, path in tmp.items():  # each text is dropped once written
-            text = files.pop(name)
-            with open(path, "w", encoding="utf-8") as f:
-                f.writelines([text] if isinstance(text, str) else text)
+        for method in selected:
+            tables[method], fields = METHODS[method](config, graph, features, write)
+            method_summaries[method] = {**fields, **_ranking(tables[method])}
+        summary = {"config": asdict(config), "n": graph.n, "methods": method_summaries}
+        if len(tables) >= 2:
+            summary["concordance"] = asdict(concordance(tables, config.top_k))
+        write(json.dumps(summary, indent=2, sort_keys=True))
         for name in stale:
             (out / name).unlink(missing_ok=True)
-        for name, path in tmp.items():  # summary.json, added last, goes in last
+        for name, path in tmp.items():  # summary.json, written last, goes in last
             os.replace(path, out / name)
     except OSError as exc:
-        raise BadParameter(
-            f"output_dir {config.output_dir!r}: cannot write or remove {name}: {exc}"
-        ) from exc
+        raise BadParameter(f"output_dir {config.output_dir!r}: cannot write or remove {name}: {exc}") from exc
     finally:
         for path in tmp.values():
             path.unlink(missing_ok=True)

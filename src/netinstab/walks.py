@@ -8,14 +8,17 @@ values mark a polarity-reversing local flow structure, and nodes are ranked
 most-negative-first as the strongest instability spreaders.
 
 `_enumerate` states the walk rule once, as numpy columns in (start, mid, end)
-order; `all_walks`, `two_step_walks`, `nstc` and `nstc_table` all read it.
-`np.bincount` adds each node's products left to right in that walk order, so
-a score has the same float64 bits on every Python and numpy version. A
-product or mean that overflows raises `NumericalFailure` instead of ranking
-an infinite node first.
+order; `all_walks`, `two_step_walks`, `nstc` and `walk_blocks`, which scores
+them a block of whole start nodes at a time, all read it. `np.bincount` adds
+each node's products left to right in walk order, and no block splits a node's
+walks, so a score has the same float64 bits on every Python and numpy version
+and at every block size. A product or mean that overflows raises
+`NumericalFailure` instead of ranking an infinite node first.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,27 +63,28 @@ class NstcRow:
     no_walks: bool = False
 
 
-def _enumerate(graph: SignedWeightedDigraph, starts: range) -> Walks:
-    """Every walk from `starts`: no self-loop step, no return to the start."""
-    w, edge = graph.weights, graph.edges
+def _enumerate(graph: SignedWeightedDigraph, edge: np.ndarray, starts: range) -> Walks:
+    """Every walk from `starts` along `edge` (`graph.edges`): no self-loop step, no return to the start."""
     k, i = np.nonzero(edge[starts.start : starts.stop])
     k += starts.start
     # row-major nonzero keeps (start, mid, end) order; row p of the mask is walk prefix k[p] -> i[p]
-    p, end = np.nonzero(edge[i] & (np.arange(graph.n) != k[:, None]))
+    mask = edge[i]
+    mask[np.arange(len(k)), k] = False  # no return to the start
+    p, end = np.nonzero(mask)
     start, mid = k[p], i[p]
     with np.errstate(over="ignore"):  # an infinite product fails in `_nstc_rows`, not here
-        return Walks(start, mid, end, w[start, mid] * w[mid, end])
+        return Walks(start, mid, end, graph.weights[start, mid] * graph.weights[mid, end])
 
 
 def all_walks(graph: SignedWeightedDigraph) -> Walks:
     """Every two-step walk in the graph, grouped by start node."""
-    return _enumerate(graph, range(graph.n))
+    return _enumerate(graph, graph.edges, range(graph.n))
 
 
 def two_step_walks(graph: SignedWeightedDigraph, start: int) -> list[TwoStepWalk]:
     """Exhaustive, deterministic enumeration of two-step walks from `start`."""
     _check_node(graph, start)
-    walks = _enumerate(graph, range(start, start + 1))
+    walks = _enumerate(graph, graph.edges, range(start, start + 1))
     k, i, j, w = walks.start, walks.mid, walks.end, graph.weights
     return [TwoStepWalk(*row) for row in zip(*(c.tolist() for c in (k, i, j, w[k, i], w[i, j])))]
 
@@ -111,14 +115,28 @@ def nstc(graph: SignedWeightedDigraph, node: int) -> NstcRow:
     """
     _check_node(graph, node)
     nodes = range(node, node + 1)
-    return _nstc_rows(_enumerate(graph, nodes), nodes)[0]
+    return _nstc_rows(_enumerate(graph, graph.edges, nodes), nodes)[0]
 
 
-def nstc_table(graph: SignedWeightedDigraph, walks: Walks | None = None) -> list[NstcRow]:
-    """One `NstcRow` per node; `walks` is `all_walks(graph)` when the caller has it."""
-    if walks is None:
-        walks = all_walks(graph)
-    return _nstc_rows(walks, range(graph.n))
+def walk_blocks(graph: SignedWeightedDigraph, max_walks: int) -> Iterator[tuple[Walks, list[NstcRow]]]:
+    """Every walk and each start node's `NstcRow`, in node order, in blocks of whole start
+    nodes: each as many nodes as have at most `max_walks` walks together, or one node.
+    Raises `NumericalFailure` at a block with a node whose products or mean overflow."""
+    edge = graph.edges
+    # k's walks: the out-edges of each i that k has an edge to, but any back to k
+    counts = np.einsum("ki,i->k", edge, edge.sum(1)) - (edge & edge.T).sum(1)  # einsum: no n-by-n int copy
+    ends = [0, *np.cumsum(counts).tolist()]  # the walks from nodes 0..k-1
+    lo = 0
+    while lo < graph.n:
+        nodes = range(lo, max(lo + 1, bisect_right(ends, ends[lo] + max_walks) - 1))
+        walks = _enumerate(graph, edge, nodes)
+        yield walks, _nstc_rows(walks, nodes)
+        lo = nodes.stop
+
+
+def nstc_table(graph: SignedWeightedDigraph) -> list[NstcRow]:
+    """One `NstcRow` per node, from `walk_blocks` a start node at a time."""
+    return [row for _, rows in walk_blocks(graph, 0) for row in rows]
 
 
 def nstc_ranking(graph: SignedWeightedDigraph) -> NodeScoreTable:

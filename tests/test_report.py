@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from dataclasses import asdict, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -51,10 +52,9 @@ from netinstab.report import (
     run,
     tables_from_summary,
 )
-from netinstab.walks import all_walks
 from conftest import random_signed_digraph_weights
 from test_agcn import sequential_train
-from test_walks import extreme_digraphs, oracle_walk_rows, walk_row_bytes
+from test_walks import extreme_digraphs, oracle_nstc, oracle_walk_rows, signed_digraphs, walk_row_bytes
 
 
 def write_model(path, weights):
@@ -62,6 +62,17 @@ def write_model(path, weights):
     n = len(weights)
     path.write_text(json.dumps({"n": n, "adjacency": np.asarray(weights).tolist(), "features": [[1.0]] * n}))
     return str(path)
+
+
+def nstc_files(out, block_bytes, **config):
+    """The bytes of walk_tree.csv, nstc.csv and summary.json from an nstc run with
+    `_WALK_BLOCK_BYTES` at `block_bytes`, or the message of the `NumericalFailure` it raises."""
+    with mock.patch("netinstab.report._WALK_BLOCK_BYTES", block_bytes):
+        try:
+            run(AnalysisConfig(methods=("nstc",), output_dir=str(out), **config))
+        except NumericalFailure as exc:
+            return str(exc)
+    return {name: (out / name).read_bytes() for name in ("walk_tree.csv", "nstc.csv", "summary.json")}
 
 
 def read_csv(path):
@@ -627,7 +638,7 @@ class TestSummaryWriter:
         graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density=1.0))
         rows = oracle_walk_rows(graph.weights)
         assert walk_row_bytes(graph.weights) == 72
-        assert len(list(_walk_csv(all_walks(graph), graph.weights))) > 5  # the header and over four blocks
+        assert len(list(_walk_csv(graph, []))) > 5  # the header and over four blocks
         model = write_model(tmp_path / "model.json", graph.weights)
         summary = run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(tmp_path)))
         assert (tmp_path / "walk_tree.csv").read_text() == _csv(list(WALK_COLUMNS), rows)
@@ -642,13 +653,78 @@ class TestSummaryWriter:
             model = write_model(Path(d) / "model.json", graph.weights)
             try:
                 summary = run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(out)))
-            except NumericalFailure:  # an overflowing product or mean is refused before any write
+            except NumericalFailure:  # an overflowing product or mean fails the run, and its temporary files go
                 assert os.listdir(out) == []
                 return
             rows = oracle_walk_rows(graph.weights)
             assert (out / "walk_tree.csv").read_text() == _csv(list(WALK_COLUMNS), rows)
             expected = json.dumps(summary, indent=2, sort_keys=True).encode()
             assert (out / "summary.json").read_bytes() == expected
+
+    @pytest.mark.parametrize("variant", ["appendix", "printed"])
+    def test_row_blocks_equal_default_run_on_piezo(self, tmp_path, variant, piezo, piezo_printed):
+        # a block bound of 1 byte makes every start node its own block
+        default = nstc_files(tmp_path, _WALK_BLOCK_BYTES, model_path="piezo", variant=variant)
+        assert nstc_files(tmp_path, 1, model_path="piezo", variant=variant) == default
+        weights = (piezo if variant == "appendix" else piezo_printed)[0].weights
+        assert default["walk_tree.csv"].decode() == _csv(list(WALK_COLUMNS), oracle_walk_rows(weights))
+        rows = json.loads(default["summary.json"])["methods"]["nstc"]["rows"]
+        assert rows == [asdict(oracle_nstc(weights, k)) for k in range(len(weights))]
+
+    @given(graph=signed_digraphs() | extreme_digraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_row_blocks_equal_default_run(self, graph):
+        with tempfile.TemporaryDirectory() as d:
+            model = write_model(Path(d) / "model.json", graph.weights)
+            default = nstc_files(Path(d) / "out", _WALK_BLOCK_BYTES, model_path=model)
+            assert nstc_files(Path(d) / "out", 1, model_path=model) == default
+        expected = [oracle_nstc(graph.weights, k) for k in range(graph.n)]
+        bad = [row.node for row in expected if not math.isfinite(row.nstc)]
+        if bad:  # the same failure, naming the first node whose products or mean overflow
+            assert f"from node {bad[0]} " in default
+            return
+        assert default["walk_tree.csv"].decode() == _csv(list(WALK_COLUMNS), oracle_walk_rows(graph.weights))
+        assert json.loads(default["summary.json"])["methods"]["nstc"]["rows"] == [asdict(r) for r in expected]
+
+    def test_overflow_in_a_late_block_keeps_old_out(self, tmp_path):
+        # node 7's edges weigh 1e308 and go to nodes whose edges weigh +-2, so its
+        # products are +-2e308, which overflow; no edge enters node 7, so no other node's do
+        rng = np.random.default_rng(7)
+        weights = np.where(rng.random((8, 8)) < 0.5, 2.0, -2.0)
+        weights[7], weights[:, 7] = 1.0, 0.0
+        out = tmp_path / "out"
+        run(AnalysisConfig(model_path=write_model(tmp_path / "old.json", weights), methods=("nstc",), output_dir=str(out)))
+        weights[7] = 1e308
+        model = write_model(tmp_path / "model.json", weights)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        pieces = []
+
+        def walk_csv(graph, rows):  # the pieces handed to the writer
+            for piece in _walk_csv(graph, rows):
+                pieces.append(piece)
+                yield piece
+
+        with mock.patch("netinstab.report._WALK_BLOCK_BYTES", 1), mock.patch("netinstab.report._walk_csv", walk_csv):
+            with pytest.raises(NumericalFailure, match="from node 7 "):
+                run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(out)))
+        assert len(pieces) == 8  # the header and the blocks of nodes 0-6 were written
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # and no .tmp file is left
+
+    def test_walk_memory_follows_the_block_not_the_graph(self, tmp_path):
+        # n = 64 at density 1: 249,984 walks, whose 72-byte rows fill about 34 blocks
+        n = 64
+        weights = random_signed_digraph_weights(np.random.default_rng(64), n, density=1.0)
+        assert n * (n - 1) * (n - 2) * walk_row_bytes(weights) > 10 * _WALK_BLOCK_BYTES
+        config = AnalysisConfig(model_path=write_model(tmp_path / "model.json", weights), methods=("nstc",), output_dir=str(tmp_path))
+        run(config)  # the `%.6g` tables are made once per process
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's walks, lanes and text, plus the tables and the model, which go by edge
+        assert peak < 3 * _WALK_BLOCK_BYTES + 128 * n * n
 
     def test_summary_holds_no_walk_rows(self, tmp_path):
         summary = run(AnalysisConfig(methods=("nstc",), output_dir=str(tmp_path)))
@@ -661,7 +737,7 @@ class TestSummaryWriter:
         rng = np.random.default_rng(40)
         weights = scale * random_signed_digraph_weights(rng, 64, density=0.5)
         rows = oracle_walk_rows(weights)
-        assert len(list(_walk_csv(all_walks(SignedWeightedDigraph(weights=weights)), weights))) > 4  # over three blocks
+        assert len(list(_walk_csv(SignedWeightedDigraph(weights=weights), []))) > 4  # over three blocks
         assert all("e" in "%.6g" % row[-1] for row in rows)
         model = write_model(tmp_path / "model.json", weights)
         run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(tmp_path)))

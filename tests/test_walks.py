@@ -19,7 +19,7 @@ from netinstab import (
 )
 from netinstab.cli import main
 from netinstab.report import _WALK_BLOCK_BYTES, WALK_COLUMNS, AnalysisConfig, _csv, _walk_csv, run
-from netinstab.walks import all_walks
+from netinstab.walks import all_walks, walk_blocks
 from conftest import random_signed_digraph_weights
 
 APPENDIX_NSTC = {
@@ -204,7 +204,8 @@ class TestVectorisedWalks:
     def test_rows_equal_sequential_sum_oracle(self, graph):
         expected = [oracle_nstc(graph.weights, k) for k in range(graph.n)]
         assert nstc_table(graph) == expected
-        assert nstc_table(graph, all_walks(graph)) == expected
+        for max_walks in (1, graph.n**3):  # a block a node, or one block
+            assert [row for _, rows in walk_blocks(graph, max_walks) for row in rows] == expected
         assert [nstc(graph, k) for k in range(graph.n)] == expected
 
     def test_products_added_left_to_right_in_walk_order(self):
@@ -222,14 +223,28 @@ class TestVectorisedWalks:
     def test_walk_tree_bytes_equal_generic_csv(self, graph, data):
         width = walk_row_bytes(graph.weights)
         block_bytes = data.draw(st.integers(1, 4 * width), label="block_bytes")  # up to four rows a block
+        pieces, rows = [], []
         with mock.patch("netinstab.report._WALK_BLOCK_BYTES", block_bytes):
-            header, *pieces = _walk_csv(all_walks(graph), graph.weights)
-        rows = oracle_walk_rows(graph.weights)
-        assert header + "".join(pieces) == _csv(list(WALK_COLUMNS), rows)
-        # every block but the last is full, and none holds more rows than fit in the bound
-        block_rows = max(1, block_bytes // width)
-        full, rest = divmod(len(rows), block_rows)
-        assert [piece.count("\n") for piece in pieces] == [block_rows] * full + [rest] * (rest > 0)
+            try:
+                pieces.extend(_walk_csv(graph, rows))
+                failed = None
+            except NumericalFailure as exc:  # a block whose products or means overflow
+                failed = str(exc)
+        # `rows` holds the nodes of the blocks written; a failure names the first node after them that overflows
+        done = len(rows)
+        expected = [oracle_nstc(graph.weights, k) for k in range(graph.n)]
+        assert rows == expected[:done]
+        bad = [k for k, row in enumerate(expected) if not np.isfinite(row.nstc)]
+        assert (failed is None) == (done == graph.n) == (not bad)
+        if failed:
+            assert bad[0] >= done and f"from node {bad[0]} " in failed
+        header, *pieces = pieces
+        walk_rows = [row for row in oracle_walk_rows(graph.weights) if row[0] < done]
+        assert header + "".join(pieces) == _csv(list(WALK_COLUMNS), walk_rows)
+        # pieces split only between start nodes, and each holds one node's walks or fits in the bound
+        starts = [[int(line.split(",")[0]) for line in piece.splitlines()] for piece in pieces]
+        assert all(a[-1] < b[0] for a, b in zip(starts, starts[1:]))
+        assert all(len(set(s)) == 1 or len(s) <= max(1, block_bytes // width) for s in starts)
 
     @pytest.mark.parametrize("block_bytes", [_WALK_BLOCK_BYTES, 200])  # one block, or two rows a block
     def test_walk_tree_with_four_digit_nodes(self, block_bytes):
@@ -245,7 +260,7 @@ class TestVectorisedWalks:
         ]
         assert len(rows) > 1000 and walk_row_bytes(w) == 80
         with mock.patch("netinstab.report._WALK_BLOCK_BYTES", block_bytes):
-            text = "".join(_walk_csv(all_walks(SignedWeightedDigraph(weights=w)), w))
+            text = "".join(_walk_csv(SignedWeightedDigraph(weights=w), []))
         assert text == _csv(list(WALK_COLUMNS), rows)
 
 
