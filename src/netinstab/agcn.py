@@ -26,10 +26,10 @@ All softmax outputs are nonnegative and sum to 1 along their axis to
 within 1e-9.
 
 Training seeds run together in one loop (`train_seeds`), in blocks of as
-many seeds as keep each stacked array under about BLOCK_BYTES, counting
+many seeds as keep each stacked array within `graph.BLOCK_BYTES`, counting
 8 n max(n, f) bytes a seed for the n x n and n x f arrays. On small graphs
 such as the paper's 8-node model every seed is in one block, which saves
-numpy's per-call overhead; from n = 257 on (with f <= n) a block holds one
+numpy's per-call overhead; from n = 182 on (with f <= n) a block holds one
 seed, so memory does not grow with the number of seeds. Within a block the
 parameters carry a leading seed axis, and M_X = (A_hat * alpha) X (formed
 once per pass, for the prediction and the w update), the prediction
@@ -51,12 +51,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import graph as _graph
 from .errors import BadParameter, DivergedTraining, number_table, real_number, sequence, whole_number
 from .graph import FeatureMatrix, SignedWeightedDigraph
 from .scores import NodeScoreTable, ranked_table
 
 INIT_RANGE = 0.5  # both parameter blocks start uniform in [-INIT_RANGE, +INIT_RANGE]
-BLOCK_BYTES = 1 << 20  # train_seeds stacks seeds up to about this size per array
 
 
 @dataclass(frozen=True)
@@ -257,12 +257,12 @@ def train_seeds(
 
     `seeds` must pass `check_seeds`. Each state is bit for bit the one `train`
     gives for its seed alone (see the module docstring). The seeds train in
-    blocks whose largest stacked array stays under about BLOCK_BYTES, so
-    memory does not grow with the number of seeds on large graphs. If seeds
-    diverge, `DivergedTraining` names the first in the given order, with its
-    iteration, as training the seeds one after another would. A block is
-    checked only after all its iterations, so a seed that diverges early
-    still runs to the end on non-finite values with the rest of its block.
+    blocks whose largest stacked array stays within `graph.BLOCK_BYTES`, or
+    of one seed, so memory does not grow with the number of seeds on large
+    graphs. If seeds diverge, `DivergedTraining` names the first in the given
+    order, with its iteration, as training the seeds one after another would.
+    A block is checked only after all its iterations, so a seed that diverges
+    early still runs to the end on non-finite values with the rest of its block.
     """
     seeds = check_seeds(seeds)
     x = features.values
@@ -276,13 +276,11 @@ def train_seeds(
     looped = (graph.weights + np.eye(n)) != 0  # the edges of the self-looped graph
     degrees = np.stack([looped.sum(axis=1), looped.sum(axis=0)]).astype(float)  # out, in
     y_prime = self_attention_embed(features, hyper).y_prime
-    # per seed, the larger of the n x n arrays and the n x f ones (M_X, G)
-    block = max(1, BLOCK_BYTES // (8 * n * max(n, f)))
     y_target = y_target.reshape(-1, 1)
     states = []
-    for start in range(0, len(seeds), block):
-        block_seeds = seeds[start : start + block]
-        states += _train_block(a_hat, degrees, y_prime, x, y_target, hyper, block_seeds)
+    # per seed, the larger of the n x n arrays and the n x f ones (M_X, G)
+    for block in _graph.plan_blocks([8 * n * max(n, f)] * len(seeds), _graph.BLOCK_BYTES):
+        states += _train_block(a_hat, degrees, y_prime, x, y_target, hyper, seeds[block.start : block.stop])
     return states
 
 

@@ -9,7 +9,9 @@ construction; every operation returns a new value, so concurrent reads are safe.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ VARIANTS = ("appendix", "printed")
 # fixture holds the appendix's +1.3083 (every reference score assumes it), and
 # `printed` negates it.
 _PRINTED_SIGN_FLIP = (3, 1)
+BLOCK_BYTES = 1 << 19  # one block's budget of stacked seeds, walk rows or cycle paths; read at call time
 
 
 @dataclass(frozen=True)
@@ -171,6 +174,17 @@ def perturb_column(graph: SignedWeightedDigraph, node: int, delta: float) -> Sig
     if not np.isfinite(w[:, node]).all():
         raise BadParameter(f"delta {delta!r} overflows a weight of column {node} in float64")
     return SignedWeightedDigraph(weights=w, node_labels=graph.node_labels)
+
+
+def plan_blocks(costs, budget) -> list[range]:
+    """Consecutive ranges that cover the indices of `costs` in order: each takes as
+    many items as cost at most `budget` together, and at least one."""
+    ends = [0, *accumulate(costs)]  # ends[k]: the cost of items 0..k-1
+    blocks, lo = [], 0
+    while lo < len(costs):
+        blocks.append(range(lo, max(lo + 1, bisect_right(ends, ends[lo] + budget) - 1)))
+        lo = blocks[-1].stop
+    return blocks
 
 
 def _check_node(graph: SignedWeightedDigraph, node: int) -> None:

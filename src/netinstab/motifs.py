@@ -14,9 +14,9 @@ order of a depth-first search, with its edge weights multiplied in path order.
 Its memory follows the largest layer of paths. `check_size` bounds each start
 node's layers by counting walks through the nodes above it, and refuses a
 graph whose bound for one start node passes `MEMORY_CAP` bytes before any
-enumeration; the same bounds split the start nodes into blocks of about
-`BLOCK_BYTES`. A refused graph is not sampled, since the scores are only
-meaningful under exhaustive counting.
+enumeration; by the same bounds, `graph.plan_blocks` splits the start nodes
+into blocks of `graph.BLOCK_BYTES` or one node. A refused graph is not
+sampled, since the scores are only meaningful under exhaustive counting.
 """
 from __future__ import annotations
 
@@ -27,13 +27,13 @@ from itertools import islice
 
 import numpy as np
 
+from . import graph as _graph
 from .errors import NumericalFailure, TooLarge, whole_number
 from .graph import SignedWeightedDigraph, _check_node, total_degree
 
 MIN_CYCLE_LEN = 3
 MAX_CYCLE_LEN = 6
 MEMORY_CAP = 2**28  # bytes the largest layer of one start node may take
-BLOCK_BYTES = 2**25  # about this many bytes of paths are grown at once, one block of starts
 _PATH_BYTES = 128  # measured per path row besides its mask: columns, indices, temporaries
 
 
@@ -77,7 +77,7 @@ def _layer_bytes(graph: SignedWeightedDigraph) -> np.ndarray:
 
 
 def _blocks(graph: SignedWeightedDigraph) -> list[range]:
-    """Consecutive start nodes grouped into blocks of about `BLOCK_BYTES`.
+    """Consecutive start nodes grouped into blocks of `graph.BLOCK_BYTES` of paths.
 
     Raises `TooLarge` when one start node's bound passes `MEMORY_CAP`.
     """
@@ -89,14 +89,7 @@ def _blocks(graph: SignedWeightedDigraph) -> list[range]:
             f"{need[worst] / 2**20:,.0f} MiB of paths from start node {worst}, over the cap of "
             f"{MEMORY_CAP / 2**20:,.0f} MiB"
         )
-    blocks, first, size = [], 0, 0.0
-    for start, nbytes in enumerate(need.tolist()):
-        if start > first and size + nbytes > BLOCK_BYTES:
-            blocks.append(range(first, start))
-            first, size = start, 0.0
-        size += nbytes
-    blocks.append(range(first, graph.n))
-    return blocks
+    return _graph.plan_blocks(need.tolist(), _graph.BLOCK_BYTES)
 
 
 def check_size(graph: SignedWeightedDigraph) -> None:

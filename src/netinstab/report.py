@@ -10,7 +10,7 @@ The two-step walks are almost all of the output. `walk_tree.csv` is the one
 place that lists them; summary.json holds each node's walk count (`n_paths`)
 but not the walks. `walks.walk_blocks` enumerates and scores them a block of
 whole start nodes at a time, and `_walk_csv` formats each block's rows (about
-`_WALK_BLOCK_BYTES`) as they are written, so neither walks nor text are held
+`graph.BLOCK_BYTES`) as they are written, so neither walks nor text are held
 whole; nstc.csv and the summary are made from the scores afterwards. A block
 is one array of byte lanes, a row per walk: the node and pair text comes from
 tables that Python formats once per node or edge, and the weights' (once per
@@ -30,13 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import agcn, motifs, spectral, walks
+from . import agcn, graph as _graph, motifs, spectral, walks
 from .errors import BadParameter, real_number, sequence, whole_number
 from .graph import load_model
 from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 
 WALK_COLUMNS = ("start", "mid", "end", "w1", "w2", "product")  # walk_tree.csv's header
-_WALK_BLOCK_BYTES = 1 << 19  # bytes of walk rows formatted per block; the arrays and text held at once are a few times this
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
 # each grid point but delta = 0 costs one O(n^3) eigenvalues-only solve per node,
 # verified at matrix-product cost (a sweep takes 0.7-0.9 ms per cell at n = 48 on
@@ -270,7 +269,7 @@ def _walk_csv(graph, rows: list):
     that is 0, subnormal or not finite, goes through Python's own `"%.6g"`, once per
     call for all of them. Each block of `walks.walk_blocks` becomes one array of lanes,
     a row per walk, whose NULs are then dropped. A block holds as many rows as fit in
-    `_WALK_BLOCK_BYTES`, or one start node's: bounded in bytes, not rows, so that rows
+    `graph.BLOCK_BYTES`, or one start node's: bounded in bytes, not rows, so that rows
     widened by long node indices or exponents keep the memory bound, while blocks stay
     large enough to amortise the few dozen numpy calls each one costs.
     """
@@ -286,7 +285,7 @@ def _walk_csv(graph, rows: list):
     weight_text = _lanes([w + "," for w in _g6_lines(flat[edges]).tobytes().translate(None, b"\0").decode().split()])
     tables = (pair_text, end_text, weight_text, weight_text)
     lanes = np.cumsum([0, *(table.shape[1] for table in tables), _G6_LANES])
-    for block, block_rows in walks.walk_blocks(graph, max(1, _WALK_BLOCK_BYTES // (_LANE.itemsize * lanes[-1]))):
+    for block, block_rows in walks.walk_blocks(graph, max(1, _graph.BLOCK_BYTES // (_LANE.itemsize * lanes[-1]))):
         rows += block_rows
         if not len(block):
             continue

@@ -9,22 +9,22 @@ most-negative-first as the strongest instability spreaders.
 
 `_enumerate` states the walk rule once, as numpy columns in (start, mid, end)
 order; `all_walks`, `two_step_walks`, `nstc` and `walk_blocks`, which scores
-them a block of whole start nodes at a time, all read it. `np.bincount` adds
-each node's products left to right in walk order, and no block splits a node's
-walks, so a score has the same float64 bits on every Python and numpy version
-and at every block size. A product or mean that overflows raises
-`NumericalFailure` instead of ranking an infinite node first.
+them a block of whole start nodes at a time (`graph.plan_blocks` of the nodes'
+walk counts), all read it. `np.bincount` adds each node's products left to
+right in walk order, and no block splits a node's walks, so a score has the
+same float64 bits on every Python and numpy version and at every block size.
+A product or mean that overflows raises `NumericalFailure` instead of ranking
+an infinite node first.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .graph import SignedWeightedDigraph, _check_node
+from .graph import SignedWeightedDigraph, _check_node, plan_blocks
 from .scores import NodeScoreTable, ranked_table
 
 
@@ -125,13 +125,9 @@ def walk_blocks(graph: SignedWeightedDigraph, max_walks: int) -> Iterator[tuple[
     edge = graph.edges
     # k's walks: the out-edges of each i that k has an edge to, but any back to k
     counts = np.einsum("ki,i->k", edge, edge.sum(1)) - (edge & edge.T).sum(1)  # einsum: no n-by-n int copy
-    ends = [0, *np.cumsum(counts).tolist()]  # the walks from nodes 0..k-1
-    lo = 0
-    while lo < graph.n:
-        nodes = range(lo, max(lo + 1, bisect_right(ends, ends[lo] + max_walks) - 1))
+    for nodes in plan_blocks(counts.tolist(), max_walks):
         walks = _enumerate(graph, edge, nodes)
         yield walks, _nstc_rows(walks, nodes)
-        lo = nodes.stop
 
 
 def nstc_table(graph: SignedWeightedDigraph) -> list[NstcRow]:

@@ -32,7 +32,7 @@ from netinstab.agcn import (
     perturb_features,
 )
 from netinstab.cli import main
-from netinstab.graph import save_model
+from netinstab.graph import BLOCK_BYTES, save_model
 from conftest import random_signed_digraph_weights
 
 DEFAULTS = AgcnHyperparams()
@@ -458,7 +458,7 @@ class TestTrainSeeds:
         seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6, unique=True),
         iterations=st.integers(1, 60),
         learning_rate=st.sampled_from([0.0, 0.5, 1e52, 1e88, 1e308]) | st.floats(0.0, 10.0),
-        block_bytes=st.sampled_from([agcn.BLOCK_BYTES, 1, 2000]),  # all, one or a few seeds a block
+        block_bytes=st.sampled_from([BLOCK_BYTES, 1, 2000]),  # all, one or a few seeds a block
     )
     # derandomized: every machine and numpy version draws the same examples
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -482,11 +482,11 @@ class TestTrainSeeds:
             features = perturb_features(features, perturb[0] % n, perturb[1])
         targets = rng.random(n)
         hyper = AgcnHyperparams(iterations=iterations, learning_rate=learning_rate)
-        with mock.patch.object(agcn, "BLOCK_BYTES", block_bytes):
+        with mock.patch("netinstab.graph.BLOCK_BYTES", block_bytes):
             assert_trains_like_the_oracle(graph, features, targets, hyper, seeds)
 
     def test_ladder_size_equals_the_sequential_oracle(self, monkeypatch):
-        # at n = 128 the default BLOCK_BYTES stacks 8 seeds a block, so ten seeds train in two;
+        # at n = 128 the default BLOCK_BYTES stacks 4 seeds a block, so ten seeds train in three;
         # OpenBLAS may pick other kernels here than at the n <= 12 of the hypothesis draws
         n = 128
         rng = np.random.default_rng(128)
@@ -501,7 +501,7 @@ class TestTrainSeeds:
         monkeypatch.setattr(agcn, "_train_block", counted)
         hyper = AgcnHyperparams(iterations=20)
         assert_trains_like_the_oracle(graph, features, rng.random(n), hyper, range(10))
-        assert sizes == [8, 2]
+        assert sizes == [4, 4, 2]
 
     @given(
         n=st.integers(1, 40),
@@ -565,7 +565,7 @@ class TestTrainSeeds:
         bound = (pair_src.size + n + 2) * np.finfo(float).eps * np.abs(pairs).sum(axis=1) / (2.0 * n)
         assert np.all(np.abs(new - old) <= bound)
 
-    @pytest.mark.parametrize("block_bytes, blocks", [(agcn.BLOCK_BYTES, [10]), (1, [1] * 10)])
+    @pytest.mark.parametrize("block_bytes, blocks", [(BLOCK_BYTES, [10]), (1, [1] * 10)])
     def test_blocks_of_seeds(self, piezo, monkeypatch, block_bytes, blocks):
         graph, features = piezo
         sizes, train_block = [], agcn._train_block
@@ -574,16 +574,16 @@ class TestTrainSeeds:
             sizes.append(len(args[-1]))  # the block's seeds
             return train_block(*args)
 
-        monkeypatch.setattr(agcn, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr("netinstab.graph.BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(agcn, "_train_block", counted)
         hyper = AgcnHyperparams(iterations=50)
         assert_trains_like_the_oracle(graph, features, graph.node_labels, hyper, range(10))
         assert sizes == blocks
 
-    @pytest.mark.parametrize("block_bytes", [agcn.BLOCK_BYTES, 1])  # one block, or one per seed
+    @pytest.mark.parametrize("block_bytes", [BLOCK_BYTES, 1])  # one block, or one per seed
     def test_final_loss_is_the_next_iterations_last_loss(self, piezo, monkeypatch, block_bytes):
         graph, features = piezo
-        monkeypatch.setattr(agcn, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr("netinstab.graph.BLOCK_BYTES", block_bytes)
         k = 40
         short, longer = (
             train_seeds(graph, features, graph.node_labels, AgcnHyperparams(iterations=i), range(3))
@@ -592,7 +592,7 @@ class TestTrainSeeds:
         for a, b in zip(short, longer, strict=True):
             assert a.loss_history + [a.final_loss] == b.loss_history
 
-    @pytest.mark.parametrize("block_bytes", [agcn.BLOCK_BYTES, 1])
+    @pytest.mark.parametrize("block_bytes", [BLOCK_BYTES, 1])
     @pytest.mark.parametrize(
         "model, seeds, iterations, expected",
         [
@@ -605,7 +605,7 @@ class TestTrainSeeds:
     def test_divergence_names_the_first_diverging_seed_in_order(
         self, monkeypatch, model, seeds, iterations, expected, block_bytes
     ):
-        monkeypatch.setattr(agcn, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr("netinstab.graph.BLOCK_BYTES", block_bytes)
         graph, features, targets, learning_rate = model
         hyper = AgcnHyperparams(iterations=iterations, learning_rate=learning_rate)
         with pytest.raises(DivergedTraining, match=f"seed {expected[0]}:") as info:

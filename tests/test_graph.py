@@ -1,4 +1,5 @@
 import json
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from netinstab import (
     save_model,
     total_degree,
 )
+from netinstab.graph import plan_blocks
 from conftest import random_signed_digraph_weights
 
 
@@ -258,3 +260,62 @@ class TestPerturbColumn:
         assert np.count_nonzero(other) == 0
         # structural zeros stay exactly zero
         assert np.all(out.weights[~col_mask, j] == 0.0)
+
+
+# The three block planners `plan_blocks` replaced, as they were written in their layers.
+
+
+def seed_blocks(count, cost, budget):
+    """`train_seeds`' blocks of `count` seeds that cost `cost` bytes each."""
+    step = max(1, budget // cost)
+    return [range(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def running_sum_blocks(costs, budget):
+    """The motif layer's blocks of start nodes, closed when the next one would pass `budget`."""
+    blocks, first, size = [], 0, 0.0
+    for start, nbytes in enumerate(costs):
+        if start > first and size + nbytes > budget:
+            blocks.append(range(first, start))
+            first, size = start, 0.0
+        size += nbytes
+    blocks.append(range(first, len(costs)))
+    return blocks
+
+
+def bisect_blocks(counts, max_walks):
+    """The walk layer's blocks of start nodes, by bisecting the running walk counts."""
+    ends = [0, *np.cumsum(counts).tolist()]
+    blocks, lo = [], 0
+    while lo < len(counts):
+        blocks.append(range(lo, max(lo + 1, bisect_right(ends, ends[lo] + max_walks) - 1)))
+        lo = blocks[-1].stop
+    return blocks
+
+
+budgets = st.sampled_from([0, 1]) | st.integers(2, 100)
+# zeros, and single items over every budget drawn
+costs = st.lists(st.sampled_from([0, 1]) | st.integers(0, 150), max_size=30)
+
+
+class TestPlanBlocks:
+    @given(costs=costs, budget=budgets)
+    @settings(max_examples=300, deadline=None)
+    def test_consecutive_ranges_that_fit_and_cannot_grow(self, costs, budget):
+        blocks = plan_blocks(costs, budget)
+        assert [i for block in blocks for i in block] == list(range(len(costs)))
+        assert all(len(block) for block in blocks)
+        assert all(sum(costs[i] for i in block) <= budget or len(block) == 1 for block in blocks)
+        # none could also take the first index of the next one
+        assert all(sum(costs[block.start : block.stop + 1]) > budget for block in blocks[:-1])
+
+    @given(count=st.integers(1, 40), cost=st.integers(1, 150), budget=budgets)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_seed_blocks(self, count, cost, budget):
+        assert plan_blocks([cost] * count, budget) == seed_blocks(count, cost, budget)
+
+    @given(costs=costs.filter(len), budget=budgets)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_running_sum_and_bisect_blocks(self, costs, budget):
+        assert plan_blocks([float(c) for c in costs], budget) == running_sum_blocks(costs, budget)
+        assert plan_blocks(costs, budget) == bisect_blocks(costs, budget)

@@ -22,6 +22,7 @@ from netinstab import (
 )
 from netinstab import motifs
 from netinstab.cli import main
+from netinstab.graph import BLOCK_BYTES
 from conftest import random_signed_digraph_weights
 
 # reference per-node scores: (w3, w4, w5, w6, total_cost), all to 2 decimals
@@ -161,19 +162,19 @@ class TestEnumeration:
         n=st.integers(1, 11),
         density=st.floats(0.0, 1.0),
         k=st.integers(3, 6),
-        block_bytes=st.sampled_from([motifs.BLOCK_BYTES, 1]),  # 1: one start node per block
+        block_bytes=st.sampled_from([BLOCK_BYTES, 1]),  # 1: one start node per block
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_depth_first_search(self, seed, n, density, k, block_bytes):
         rng = np.random.default_rng(seed)
         graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density))
-        with mock.patch.object(motifs, "BLOCK_BYTES", block_bytes):
+        with mock.patch("netinstab.graph.BLOCK_BYTES", block_bytes):
             got = [(c.nodes, c.weight_product) for c in enumerate_simple_cycles(graph, k)]
         assert got == dfs_cycles(graph.weights, k)
 
     def test_blocks_of_start_nodes(self, piezo):
         assert motifs._blocks(piezo[0]) == [range(8)]
-        with mock.patch.object(motifs, "BLOCK_BYTES", 1):
+        with mock.patch("netinstab.graph.BLOCK_BYTES", 1):
             assert motifs._blocks(piezo[0]) == [range(s, s + 1) for s in range(8)]
 
     @given(seed=st.integers(0, 100_000), n=st.integers(3, 7), k=st.integers(3, 6))
@@ -227,13 +228,13 @@ class TestScores:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 11),
         density=st.floats(0.0, 1.0),
-        block_bytes=st.sampled_from([motifs.BLOCK_BYTES, 1]),  # 1: one start node per block
+        block_bytes=st.sampled_from([BLOCK_BYTES, 1]),  # 1: one start node per block
     )
     @settings(max_examples=100, deadline=None)
     def test_table_equals_per_node_scan(self, seed, n, density, block_bytes):
         rng = np.random.default_rng(seed)
         graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density))
-        with mock.patch.object(motifs, "BLOCK_BYTES", block_bytes):
+        with mock.patch("netinstab.graph.BLOCK_BYTES", block_bytes):
             assert motif_table(graph) == scan_oracle_table(graph)
 
     def test_zero_when_no_imbalanced_cycles(self):

@@ -40,8 +40,8 @@ from netinstab import (
 )
 from netinstab import report
 from netinstab.cli import main
+from netinstab.graph import BLOCK_BYTES
 from netinstab.report import (
-    _WALK_BLOCK_BYTES,
     CONVERGENCE_LOSS,
     MAX_DELTA_POINTS,
     WALK_COLUMNS,
@@ -66,8 +66,8 @@ def write_model(path, weights):
 
 def nstc_files(out, block_bytes, **config):
     """The bytes of walk_tree.csv, nstc.csv and summary.json from an nstc run with
-    `_WALK_BLOCK_BYTES` at `block_bytes`, or the message of the `NumericalFailure` it raises."""
-    with mock.patch("netinstab.report._WALK_BLOCK_BYTES", block_bytes):
+    `BLOCK_BYTES` at `block_bytes`, or the message of the `NumericalFailure` it raises."""
+    with mock.patch("netinstab.graph.BLOCK_BYTES", block_bytes):
         try:
             run(AnalysisConfig(methods=("nstc",), output_dir=str(out), **config))
         except NumericalFailure as exc:
@@ -633,7 +633,7 @@ class TestSummaryWriter:
     def test_several_default_chunks(self, tmp_path):
         # the smallest complete digraph (self-loops too, at density 1) with over four blocks
         # of walks at 72-byte rows: weights of 2 lanes ("-1.23456,"), products of 3
-        n = next(n for n in itertools.count(3) if n * (n - 1) * (n - 2) > 4 * (_WALK_BLOCK_BYTES // 72))
+        n = next(n for n in itertools.count(3) if n * (n - 1) * (n - 2) > 4 * (BLOCK_BYTES // 72))
         rng = np.random.default_rng(5)
         graph = SignedWeightedDigraph(weights=random_signed_digraph_weights(rng, n, density=1.0))
         rows = oracle_walk_rows(graph.weights)
@@ -648,7 +648,7 @@ class TestSummaryWriter:
     @given(graph=extreme_digraphs(), block_bytes=st.integers(1, 400))  # down to a row a block
     @settings(max_examples=100, deadline=None)
     def test_run_writes_the_returned_summary_and_walk_rows(self, graph, block_bytes):
-        with tempfile.TemporaryDirectory() as d, mock.patch("netinstab.report._WALK_BLOCK_BYTES", block_bytes):
+        with tempfile.TemporaryDirectory() as d, mock.patch("netinstab.graph.BLOCK_BYTES", block_bytes):
             out = Path(d) / "out"
             model = write_model(Path(d) / "model.json", graph.weights)
             try:
@@ -664,7 +664,7 @@ class TestSummaryWriter:
     @pytest.mark.parametrize("variant", ["appendix", "printed"])
     def test_row_blocks_equal_default_run_on_piezo(self, tmp_path, variant, piezo, piezo_printed):
         # a block bound of 1 byte makes every start node its own block
-        default = nstc_files(tmp_path, _WALK_BLOCK_BYTES, model_path="piezo", variant=variant)
+        default = nstc_files(tmp_path, BLOCK_BYTES, model_path="piezo", variant=variant)
         assert nstc_files(tmp_path, 1, model_path="piezo", variant=variant) == default
         weights = (piezo if variant == "appendix" else piezo_printed)[0].weights
         assert default["walk_tree.csv"].decode() == _csv(list(WALK_COLUMNS), oracle_walk_rows(weights))
@@ -676,7 +676,7 @@ class TestSummaryWriter:
     def test_row_blocks_equal_default_run(self, graph):
         with tempfile.TemporaryDirectory() as d:
             model = write_model(Path(d) / "model.json", graph.weights)
-            default = nstc_files(Path(d) / "out", _WALK_BLOCK_BYTES, model_path=model)
+            default = nstc_files(Path(d) / "out", BLOCK_BYTES, model_path=model)
             assert nstc_files(Path(d) / "out", 1, model_path=model) == default
         expected = [oracle_nstc(graph.weights, k) for k in range(graph.n)]
         bad = [row.node for row in expected if not math.isfinite(row.nstc)]
@@ -704,7 +704,7 @@ class TestSummaryWriter:
                 pieces.append(piece)
                 yield piece
 
-        with mock.patch("netinstab.report._WALK_BLOCK_BYTES", 1), mock.patch("netinstab.report._walk_csv", walk_csv):
+        with mock.patch("netinstab.graph.BLOCK_BYTES", 1), mock.patch("netinstab.report._walk_csv", walk_csv):
             with pytest.raises(NumericalFailure, match="from node 7 "):
                 run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(out)))
         assert len(pieces) == 8  # the header and the blocks of nodes 0-6 were written
@@ -714,7 +714,7 @@ class TestSummaryWriter:
         # n = 64 at density 1: 249,984 walks, whose 72-byte rows fill about 34 blocks
         n = 64
         weights = random_signed_digraph_weights(np.random.default_rng(64), n, density=1.0)
-        assert n * (n - 1) * (n - 2) * walk_row_bytes(weights) > 10 * _WALK_BLOCK_BYTES
+        assert n * (n - 1) * (n - 2) * walk_row_bytes(weights) > 10 * BLOCK_BYTES
         config = AnalysisConfig(model_path=write_model(tmp_path / "model.json", weights), methods=("nstc",), output_dir=str(tmp_path))
         run(config)  # the `%.6g` tables are made once per process
         tracemalloc.start()
@@ -724,7 +724,7 @@ class TestSummaryWriter:
         finally:
             tracemalloc.stop()
         # a block's walks, lanes and text, plus the tables and the model, which go by edge
-        assert peak < 3 * _WALK_BLOCK_BYTES + 128 * n * n
+        assert peak < 3 * BLOCK_BYTES + 128 * n * n
 
     def test_summary_holds_no_walk_rows(self, tmp_path):
         summary = run(AnalysisConfig(methods=("nstc",), output_dir=str(tmp_path)))

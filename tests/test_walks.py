@@ -18,7 +18,8 @@ from netinstab import (
     two_step_walks,
 )
 from netinstab.cli import main
-from netinstab.report import _WALK_BLOCK_BYTES, WALK_COLUMNS, AnalysisConfig, _csv, _walk_csv, run
+from netinstab.graph import BLOCK_BYTES
+from netinstab.report import WALK_COLUMNS, AnalysisConfig, _csv, _walk_csv, run
 from netinstab.walks import all_walks, walk_blocks
 from conftest import random_signed_digraph_weights
 
@@ -224,7 +225,7 @@ class TestVectorisedWalks:
         width = walk_row_bytes(graph.weights)
         block_bytes = data.draw(st.integers(1, 4 * width), label="block_bytes")  # up to four rows a block
         pieces, rows = [], []
-        with mock.patch("netinstab.report._WALK_BLOCK_BYTES", block_bytes):
+        with mock.patch("netinstab.graph.BLOCK_BYTES", block_bytes):
             try:
                 pieces.extend(_walk_csv(graph, rows))
                 failed = None
@@ -246,7 +247,7 @@ class TestVectorisedWalks:
         assert all(a[-1] < b[0] for a, b in zip(starts, starts[1:]))
         assert all(len(set(s)) == 1 or len(s) <= max(1, block_bytes // width) for s in starts)
 
-    @pytest.mark.parametrize("block_bytes", [_WALK_BLOCK_BYTES, 200])  # one block, or two rows a block
+    @pytest.mark.parametrize("block_bytes", [BLOCK_BYTES, 200])  # one block, or two rows a block
     def test_walk_tree_with_four_digit_nodes(self, block_bytes):
         # "1004,1199," takes two lanes, so rows are wider than below node 1000
         nodes = [*range(3), *range(995, 1005), *range(1195, 1200)]
@@ -259,7 +260,7 @@ class TestVectorisedWalks:
             if len({k, i, j}) == 3 and w[k, i] != 0 and w[i, j] != 0
         ]
         assert len(rows) > 1000 and walk_row_bytes(w) == 80
-        with mock.patch("netinstab.report._WALK_BLOCK_BYTES", block_bytes):
+        with mock.patch("netinstab.graph.BLOCK_BYTES", block_bytes):
             text = "".join(_walk_csv(SignedWeightedDigraph(weights=w), []))
         assert text == _csv(list(WALK_COLUMNS), rows)
 
