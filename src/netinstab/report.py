@@ -38,8 +38,8 @@ from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 WALK_COLUMNS = ("start", "mid", "end", "w1", "w2", "product")  # walk_tree.csv's header
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
 # each grid point but delta = 0 costs one O(n^3) eigenvalues-only solve per node,
-# verified at matrix-product cost (a sweep takes 0.7-0.9 ms per cell at n = 48 on
-# a 2-core x86-64, with one OpenBLAS thread or two), so a grid past this (a
+# verified at matrix-product cost with no SVD (a sweep takes 0.6-0.8 ms per cell at
+# n = 48 on a 2-core x86-64, with one OpenBLAS thread or two), so a grid past this (a
 # delta_step of 1e-7 gives 25 million points) would run for days rather than fail
 MAX_DELTA_POINTS = 1000
 
@@ -268,10 +268,11 @@ def _walk_csv(graph, rows: list):
     whose six scaled digits lie within `_G6_TIE_MARGIN` of a rounding tie, and one
     that is 0, subnormal or not finite, goes through Python's own `"%.6g"`, once per
     call for all of them. Each block of `walks.walk_blocks` becomes one array of lanes,
-    a row per walk, whose NULs are then dropped. A block holds as many rows as fit in
-    `graph.BLOCK_BYTES`, or one start node's: bounded in bytes, not rows, so that rows
-    widened by long node indices or exponents keep the memory bound, while blocks stay
-    large enough to amortise the few dozen numpy calls each one costs.
+    a row per walk, whose NULs are then dropped. A block holds as many rows, and as
+    much of the enumeration's mask, as fit in `graph.BLOCK_BYTES`, or one start node's:
+    bounded in bytes, not rows, so that rows widened by long node indices or exponents
+    keep the memory bound, while blocks stay large enough to amortise the few dozen
+    numpy calls each one costs.
     """
     yield ",".join(WALK_COLUMNS) + "\n"
     weights, n = graph.weights, graph.n
@@ -285,7 +286,7 @@ def _walk_csv(graph, rows: list):
     weight_text = _lanes([w + "," for w in _g6_lines(flat[edges]).tobytes().translate(None, b"\0").decode().split()])
     tables = (pair_text, end_text, weight_text, weight_text)
     lanes = np.cumsum([0, *(table.shape[1] for table in tables), _G6_LANES])
-    for block, block_rows in walks.walk_blocks(graph, max(1, _graph.BLOCK_BYTES // (_LANE.itemsize * lanes[-1]))):
+    for block, block_rows in walks.walk_blocks(graph, _graph.BLOCK_BYTES, _LANE.itemsize * lanes[-1]):
         rows += block_rows
         if not len(block):
             continue
@@ -339,14 +340,14 @@ def _run_attention(config: AnalysisConfig, graph, features, write) -> tuple:
 
 def _run_spectral(config: AnalysisConfig, graph, features, write) -> tuple:
     table = spectral.perturbation_sweep(graph, config.delta_grid())
-    cells = [asdict(table.cells[key]) for key in sorted(table.cells)]
+    cells = [dict(vars(table.cells[key])) for key in sorted(table.cells)]
     write(_csv(["node", "delta", "largest_negative_eigenvalue", "status"], [list(cell.values()) for cell in cells]))
     ranking = ranked_table("spectral", spectral.sweep_end_scores(table))
     return ranking, {"deltas": list(table.deltas), "cells": cells}
 
 
 def _run_motifs(config: AnalysisConfig, graph, features, write) -> tuple:
-    rows = [asdict(r) for r in motifs.motif_table(graph)]
+    rows = [dict(vars(r)) for r in motifs.motif_table(graph)]
     write(_csv(["node", "w3", "w4", "w5", "w6", "total_cost"], [list(r.values()) for r in rows]))
     return ranked_table("motifs", [r["total_cost"] for r in rows]), {"rows": rows}
 
@@ -356,7 +357,7 @@ def _run_nstc(config: AnalysisConfig, graph, features, write) -> tuple:
     write(_walk_csv(graph, rows))  # fills `rows` as the walks are written
     table = ranked_table("nstc", [r.nstc for r in rows])
     write(_csv(["node", "n_paths", "nstc", "rank"], [[r.node, r.n_paths, r.nstc, table.rank_of(r.node)] for r in rows]))
-    return table, {"rows": [asdict(r) for r in rows]}
+    return table, {"rows": [dict(vars(r)) for r in rows]}
 
 
 # Run order. Each runner maps (config, graph, features, write) to its ranking and

@@ -9,10 +9,11 @@ most-negative-first as the strongest instability spreaders.
 
 `_enumerate` states the walk rule once, as numpy columns in (start, mid, end)
 order; `all_walks`, `two_step_walks`, `nstc` and `walk_blocks`, which scores
-them a block of whole start nodes at a time (`graph.plan_blocks` of the nodes'
-walk counts), all read it. `np.bincount` adds each node's products left to
-right in walk order, and no block splits a node's walks, so a score has the
-same float64 bits on every Python and numpy version and at every block size.
+them a block of whole start nodes at a time (`graph.plan_blocks` of the bytes
+each node's walks and enumeration take), all read it. `np.bincount` adds each
+node's products left to right in walk order, and no block splits a node's
+walks, so a score has the same float64 bits on every Python and numpy version
+and at every block size.
 A product or mean that overflows raises `NumericalFailure` instead of ranking
 an infinite node first.
 """
@@ -118,21 +119,26 @@ def nstc(graph: SignedWeightedDigraph, node: int) -> NstcRow:
     return _nstc_rows(_enumerate(graph, graph.edges, nodes), nodes)[0]
 
 
-def walk_blocks(graph: SignedWeightedDigraph, max_walks: int) -> Iterator[tuple[Walks, list[NstcRow]]]:
+def walk_blocks(
+    graph: SignedWeightedDigraph, budget: int, row_bytes: int
+) -> Iterator[tuple[Walks, list[NstcRow]]]:
     """Every walk and each start node's `NstcRow`, in node order, in blocks of whole start
-    nodes: each as many nodes as have at most `max_walks` walks together, or one node.
+    nodes: each as many nodes as cost at most `budget` bytes together, or one node. A
+    node costs the larger of `row_bytes` per walk and the n bytes per out-edge that
+    `_enumerate`'s mask holds, which is the larger on sparse graphs with many nodes.
     Raises `NumericalFailure` at a block with a node whose products or mean overflow."""
     edge = graph.edges
+    out = edge.sum(1)
     # k's walks: the out-edges of each i that k has an edge to, but any back to k
-    counts = np.einsum("ki,i->k", edge, edge.sum(1)) - (edge & edge.T).sum(1)  # einsum: no n-by-n int copy
-    for nodes in plan_blocks(counts.tolist(), max_walks):
+    counts = np.einsum("ki,i->k", edge, out) - (edge & edge.T).sum(1)  # einsum: no n-by-n int copy
+    for nodes in plan_blocks(np.maximum(counts * row_bytes, out * graph.n).tolist(), budget):
         walks = _enumerate(graph, edge, nodes)
         yield walks, _nstc_rows(walks, nodes)
 
 
 def nstc_table(graph: SignedWeightedDigraph) -> list[NstcRow]:
     """One `NstcRow` per node, from `walk_blocks` a start node at a time."""
-    return [row for _, rows in walk_blocks(graph, 0) for row in rows]
+    return [row for _, rows in walk_blocks(graph, 0, 1) for row in rows]
 
 
 def nstc_ranking(graph: SignedWeightedDigraph) -> NodeScoreTable:

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import netinstab.spectral
-from netinstab.spectral import RESIDUAL_RTOL, SweepCell
+from netinstab.report import AnalysisConfig
+from netinstab.spectral import RESIDUAL_RTOL, ZERO_RTOL, SweepCell, _bracket, _verified
 from netinstab import (
     BadMatrix,
     BadParameter,
@@ -137,6 +138,35 @@ def patch_fast_path(monkeypatch, fail_on=None):
 
     monkeypatch.setattr(netinstab.spectral, "_resolvent_solver", solver)
     return counts
+
+
+def count_svds(monkeypatch):
+    """Record the matrix of every 2-norm SVD, np.linalg.norm(m, 2) of a matrix."""
+    real = np.linalg.norm
+    calls = []
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            calls.append(np.array(x))
+        return real(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    return calls
+
+
+def sweep_n48_weights(seed):
+    """The weights of perfbench's sweep-n48 model for seed 0-31: the density-0.3
+    edge pattern drawn from seed 1, with weights drawn from `seed`."""
+    edges = random_signed_digraph_weights(np.random.default_rng(1), 48, 0.3) != 0
+    return np.where(edges, np.random.default_rng(seed).uniform(-2, 2, (48, 48)), 0.0)
+
+
+def acceptance(m, vals, vecs, units):
+    """`_verified`'s EigenSet for the pairs (vals, vecs) of m, or its failure message."""
+    try:
+        return _verified(m, vals, vecs.real, vecs.imag, units)
+    except NumericalFailure as exc:
+        return str(exc)
 
 
 def assert_multisets_close(got, expected, tol):
@@ -477,3 +507,109 @@ class TestSweep:
         end = {node: table.value(node, 3.0) for node in range(8)}
         closest = sorted(end, key=lambda v: -end[v])[:2]
         assert set(closest) == {2, 6}
+
+
+class TestNormBracket:
+    """The fast path runs each check at both ends of `_bracket`'s bounds on
+    max(1, ||m||_2), and takes the SVD only where a check reads differently at the two."""
+
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(2, 64),
+        density=st.floats(0.02, 1.0),
+        exponent=st.floats(-6, 6),
+        deltas=st.lists(st.floats(-3, 3), min_size=1, max_size=2),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sweep_matches_column_by_column_oracle_at_any_scale(self, seed, n, density, exponent, deltas):
+        # weights from 1e-6 to 1e6 put max(1, ||m||_2) at 1 at both ends, at neither, or between
+        scale = 10.0**exponent
+        weights = scale * random_signed_digraph_weights(np.random.default_rng(seed), n, density)
+        graph = SignedWeightedDigraph(weights=weights)
+        table = perturbation_sweep(graph, [scale * d for d in deltas])
+        assert table.cells == column_by_column_sweep(graph, table.deltas)
+
+    def test_sweep_n48_draws_take_only_the_baseline_svd(self, monkeypatch):
+        grid = AnalysisConfig().delta_grid()
+        svds = count_svds(monkeypatch)
+        for seed in range(32):
+            weights = sweep_n48_weights(seed)
+            svds.clear()
+            perturbation_sweep(SignedWeightedDigraph(weights=weights), grid)
+            assert len(svds) == 1 and np.array_equal(svds[0], weights), seed  # the delta = 0 solve
+
+    def test_piezo_takes_an_svd_per_cell(self, piezo, monkeypatch):
+        # every cell but the shared delta = 0 one is an eigenvalues() solve, which takes its own
+        grid = AnalysisConfig().delta_grid()
+        svds = count_svds(monkeypatch)
+        perturbation_sweep(piezo[0], grid)
+        assert len(svds) == 1 + piezo[0].n * len(grid)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_value_at_the_zero_tolerance_takes_the_svd(self, monkeypatch, seed):
+        # W + alpha I moves cell (3, 0.5)'s eigenvalue of largest real part to about
+        # -ZERO_RTOL * ||m||_2, where whether it counts as negative depends on the last bits
+        w = 5.0 * dense_graph(seed).weights
+        m = shifted(SignedWeightedDigraph(weights=w), 3, 0.5)
+        top, alpha = np.linalg.eigvals(m).real.max(), 0.0
+        for _ in range(3):
+            alpha = -ZERO_RTOL * max(1.0, np.linalg.norm(m + alpha * np.eye(8), 2)) - top
+        graph = SignedWeightedDigraph(weights=w + alpha * np.eye(8))
+        cell = shifted(graph, 3, 0.5)
+        exact = eigenvalues(cell)
+        assert max(v.real for v in exact.values) == pytest.approx(-exact.zero_tol, rel=1e-5)
+        fast = patch_fast_path(monkeypatch)
+        svds = count_svds(monkeypatch)
+        table = perturbation_sweep(graph, [0.5])
+        assert len(svds) == 2 and np.array_equal(svds[1], cell)
+        assert fast["failed"] == 0
+        assert table.cells == column_by_column_sweep(graph, table.deltas)
+
+    @pytest.mark.parametrize("real_part", [-(ZERO_RTOL * 3.0), np.nextafter(-(ZERO_RTOL * 3.0), -1.0)])
+    def test_value_exactly_at_the_zero_tolerance_takes_the_svd(self, monkeypatch, real_part):
+        # ||m||_2 = 3, so zero_tol is ZERO_RTOL * 3.0: the first value is not negative, the second is
+        m = np.diag([3.0, real_part, 1.0])
+        vals, vecs = np.linalg.eig(m)
+        svds = count_svds(monkeypatch)
+        got = acceptance(m, vals, vecs, _bracket(m))
+        assert len(svds) == 1
+        assert got == eigenvalues(m)
+        assert largest_negative_eigenvalue(got) == (None if real_part == -(ZERO_RTOL * 3.0) else real_part)
+
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_residual_at_its_bound_takes_the_svd(self, monkeypatch, factor):
+        # a real eigenvalue moved by t leaves its eigenpair a residual of about t
+        m = 3.0 * random_signed_digraph_weights(np.random.default_rng(4), 8, density=1.0)
+        vals, vecs = np.linalg.eig(m)
+        k = int(np.flatnonzero(vals.imag == 0)[0])
+        vals[k] += factor * RESIDUAL_RTOL * max(1.0, np.linalg.norm(m, 2))
+        svds = count_svds(monkeypatch)
+        got = acceptance(m, vals, vecs, _bracket(m))
+        assert len(svds) == 1
+        assert got == acceptance(m, vals, vecs, None)
+        assert isinstance(got, EigenSet) == (factor < 1)
+
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_trace_error_at_its_bound_takes_the_svd(self, monkeypatch, factor):
+        # m = Q D Q^T with ||m||_2 = 10, its eigenpair (10 - 1e-5 * factor, q_1) given as a
+        # second copy of (10, q_0): every residual is near 0, and the sum misses the trace
+        # by about 1e-6 * ||m||_2, between 1e-6 times the two ends of the bracket
+        q = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 4)))[0]
+        m = q @ np.diag([10.0, 10.0 - 1e-5 * factor, 1.0, 2.0]) @ q.T
+        vals, vecs = np.array([10.0, 10.0, 1.0, 2.0]), q[:, [0, 0, 2, 3]]
+        svds = count_svds(monkeypatch)
+        got = acceptance(m, vals, vecs, _bracket(m))
+        assert len(svds) == 1
+        assert got == acceptance(m, vals, vecs, None)
+        assert isinstance(got, EigenSet) == (factor < 1)
+
+    def test_overflowing_bracket_takes_the_svd(self, monkeypatch):
+        # entries near 1e200 overflow the squares of the Frobenius norm, though not ||m||_2
+        graph = SignedWeightedDigraph(weights=1e200 * dense_graph(5).weights)
+        assert _bracket(shifted(graph, 0, 0.5e200)) is None
+        fast = patch_fast_path(monkeypatch)
+        svds = count_svds(monkeypatch)
+        table = perturbation_sweep(graph, [0.5e200])
+        assert len(svds) == 1 + graph.n and fast["failed"] == 0
+        assert {cell.status for cell in table.cells.values()} == {"ok"}
+        assert table.cells == column_by_column_sweep(graph, table.deltas)

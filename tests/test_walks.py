@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 from unittest import mock
 
@@ -205,9 +206,28 @@ class TestVectorisedWalks:
     def test_rows_equal_sequential_sum_oracle(self, graph):
         expected = [oracle_nstc(graph.weights, k) for k in range(graph.n)]
         assert nstc_table(graph) == expected
-        for max_walks in (1, graph.n**3):  # a block a node, or one block
-            assert [row for _, rows in walk_blocks(graph, max_walks) for row in rows] == expected
+        for budget in (1, graph.n**3):  # a block a node, or one block
+            assert [row for _, rows in walk_blocks(graph, budget, 1) for row in rows] == expected
         assert [nstc(graph, k) for k in range(graph.n)] == expected
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_block_memory_follows_the_budget_on_sparse_graphs(self, n):
+        # about 20 out-edges per node: each walk prefix holds an n-byte mask row while
+        # it is enumerated, which at n = 4096 outweighs the walks' 72-byte rows
+        rng = np.random.default_rng(n)
+        nodes = np.arange(n)[:, None]
+        weights = np.zeros((n, n))
+        weights[nodes, (nodes + rng.integers(1, n, (n, 20))) % n] = rng.uniform(-2, 2, (n, 20))
+        blocks = walk_blocks(SignedWeightedDigraph(weights=weights), BLOCK_BYTES, 72)
+        next(blocks)  # the first block also makes the edge table and the walk counts
+        tracemalloc.start()
+        try:
+            block = next(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(block[0]) > 0
+        assert peak < 2 * BLOCK_BYTES
 
     def test_products_added_left_to_right_in_walk_order(self):
         # node 0's walks have products 1e16, 1 and -1e16: added left to right the 1 is
