@@ -54,7 +54,9 @@ class SignedWeightedDigraph:
 
     @property
     def edges(self) -> np.ndarray:
-        return (self.weights != 0) & ~np.eye(self.n, dtype=bool)
+        edges = self.weights != 0  # the one n-by-n temporary: the diagonal is cleared in place
+        np.fill_diagonal(edges, False)
+        return edges
 
 
 @dataclass(frozen=True)

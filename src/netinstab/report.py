@@ -38,8 +38,8 @@ from .scores import NodeScoreTable, ranked_table, spearman_rho, top_k_jaccard
 WALK_COLUMNS = ("start", "mid", "end", "w1", "w2", "product")  # walk_tree.csv's header
 CONVERGENCE_LOSS = 0.005  # a training run at or below this counts as converged
 # each grid point but delta = 0 costs one O(n^3) eigenvalues-only solve per node,
-# verified at matrix-product cost with no SVD (a sweep takes 0.6-0.8 ms per cell at
-# n = 48 on a 2-core x86-64, with one OpenBLAS thread or two), so a grid past this (a
+# verified by an O(n^2) residual bound with no SVD (a sweep takes about 0.5 ms per cell
+# at n = 48 on a 2-core x86-64, with one OpenBLAS thread or two), so a grid past this (a
 # delta_step of 1e-7 gives 25 million points) would run for days rather than fail
 MAX_DELTA_POINTS = 1000
 

@@ -130,7 +130,8 @@ def walk_blocks(
     edge = graph.edges
     out = edge.sum(1)
     # k's walks: the out-edges of each i that k has an edge to, but any back to k
-    counts = np.einsum("ki,i->k", edge, out) - (edge & edge.T).sum(1)  # einsum: no n-by-n int copy
+    # einsum casts in buffers: no n-by-n int copy, and no n-by-n mask of the mutual edges
+    counts = np.einsum("ki,i->k", edge, out) - np.einsum("ki,ik->k", edge, edge, dtype=np.int64)
     for nodes in plan_blocks(np.maximum(counts * row_bytes, out * graph.n).tolist(), budget):
         walks = _enumerate(graph, edge, nodes)
         yield walks, _nstc_rows(walks, nodes)

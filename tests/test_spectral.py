@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import netinstab.spectral
 from netinstab.report import AnalysisConfig
-from netinstab.spectral import RESIDUAL_RTOL, ZERO_RTOL, SweepCell, _bracket, _verified
+from netinstab.spectral import RESIDUAL_RTOL, ZERO_RTOL, SweepCell, _bracket, _residual, _verified
 from netinstab import (
     BadMatrix,
     BadParameter,
@@ -118,18 +118,18 @@ def patch_fast_path(monkeypatch, fail_on=None):
     real = netinstab.spectral._resolvent_solver
     counts = {"solvers": 0, "calls": 0, "failed": 0}
 
-    def solver(base, vecs):
-        inner = real(base, vecs)
+    def solver(w, base, vecs):
+        inner = real(w, base, vecs)
         if inner is None:
             return None
         counts["solvers"] += 1
 
-        def solve(m):
+        def solve(m, node, delta):
             counts["calls"] += 1
             try:
                 if fail_on is not None and np.array_equal(m, fail_on):
                     raise NumericalFailure("synthetic fast-path failure")
-                return inner(m)
+                return inner(m, node, delta)
             except NumericalFailure:
                 counts["failed"] += 1
                 raise
@@ -154,17 +154,19 @@ def count_svds(monkeypatch):
     return calls
 
 
-def sweep_n48_weights(seed):
-    """The weights of perfbench's sweep-n48 model for seed 0-31: the density-0.3
-    edge pattern drawn from seed 1, with weights drawn from `seed`."""
-    edges = random_signed_digraph_weights(np.random.default_rng(1), 48, 0.3) != 0
-    return np.where(edges, np.random.default_rng(seed).uniform(-2, 2, (48, 48)), 0.0)
+def pattern_weights(n, seed):
+    """perfbench's density-0.3 model at size n: the edge pattern drawn from seed 1, with
+    weights drawn from `seed`. n = 48 and seeds 0-31 are the sweep-n48 workload's draws,
+    and seed 0 at n = 128 is the size ladder's graph."""
+    edges = random_signed_digraph_weights(np.random.default_rng(1), n, 0.3) != 0
+    return np.where(edges, np.random.default_rng(seed).uniform(-2, 2, (n, n)), 0.0)
 
 
 def acceptance(m, vals, vecs, units):
-    """`_verified`'s EigenSet for the pairs (vals, vecs) of m, or its failure message."""
+    """`_verified`'s EigenSet for the pairs (vals, vecs) of m, or its failure message. The
+    explicit residual is taken at unit 1, so that every call on one m reads the same residual."""
     try:
-        return _verified(m, vals, vecs.real, vecs.imag, units)
+        return _verified(m, vals, _residual(m, vals, vecs.real, vecs.imag, 1.0), units)
     except NumericalFailure as exc:
         return str(exc)
 
@@ -295,10 +297,10 @@ class TestEigenvalues:
         node = int(rng.integers(n))
         m = w.copy()
         m[:, node] += delta
-        solve = netinstab.spectral._resolvent_solver(*netinstab.spectral._eigenpairs(w))
+        solve = netinstab.spectral._resolvent_solver(w, *netinstab.spectral._eigenpairs(w))
         assume(solve is not None)
         try:
-            es = solve(m)
+            es = solve(m, node, delta)
         except NumericalFailure:  # the sweep would solve this cell with eigenvalues()
             assume(False)
         assert_svd_oracle_holds(m, es)
@@ -530,13 +532,32 @@ class TestNormBracket:
         assert table.cells == column_by_column_sweep(graph, table.deltas)
 
     def test_sweep_n48_draws_take_only_the_baseline_svd(self, monkeypatch):
+        # and the residual bound verifies every nonzero-delta cell: none goes to eigenvalues()
         grid = AnalysisConfig().delta_grid()
-        svds = count_svds(monkeypatch)
+        svds, fast = count_svds(monkeypatch), patch_fast_path(monkeypatch)
         for seed in range(32):
-            weights = sweep_n48_weights(seed)
+            weights = pattern_weights(48, seed)
             svds.clear()
+            fast.update(solvers=0, calls=0, failed=0)
             perturbation_sweep(SignedWeightedDigraph(weights=weights), grid)
             assert len(svds) == 1 and np.array_equal(svds[0], weights), seed  # the delta = 0 solve
+            assert fast == {"solvers": 1, "calls": 48 * len(grid), "failed": 0}, seed
+
+    def test_ladder_n128_cells_verify_by_the_bound(self, monkeypatch):
+        # 8 nodes of the size ladder's n = 128 graph on the default grid, where the bound's
+        # terms are larger than at n = 48
+        grid = AnalysisConfig().delta_grid()
+        w = pattern_weights(128, 0)
+        fast = patch_fast_path(monkeypatch)
+        svds = count_svds(monkeypatch)
+        solve = netinstab.spectral._resolvent_solver(w, *netinstab.spectral._eigenpairs(w))
+        for node in range(0, 128, 16):
+            for delta in grid:
+                es = solve(shifted(SignedWeightedDigraph(weights=w), node, delta), node, delta)
+                unit = es.zero_tol / ZERO_RTOL  # the upper end of the bracket the test read at
+                assert es.residual_bound < 0.1 * RESIDUAL_RTOL * unit
+        assert fast == {"solvers": 1, "calls": 8 * len(grid), "failed": 0}
+        assert len(svds) == 1  # the delta = 0 solve's
 
     def test_piezo_takes_an_svd_per_cell(self, piezo, monkeypatch):
         # every cell but the shared delta = 0 one is an eigenvalues() solve, which takes its own
@@ -612,4 +633,102 @@ class TestNormBracket:
         table = perturbation_sweep(graph, [0.5e200])
         assert len(svds) == 1 + graph.n and fast["failed"] == 0
         assert {cell.status for cell in table.cells.values()} == {"ok"}
+        assert table.cells == column_by_column_sweep(graph, table.deltas)
+
+
+def built_residual(w, base, vecs, m, mu):
+    """The explicit residual of the resolvent vectors V (Lambda - mu I)^-1 a of m's values mu,
+    built and checked as the fast path did before it bounded them: each column scaled to
+    a largest entry of 1, x = V C formed, and m x - mu x taken."""
+    a = np.linalg.solve(vecs, np.ones(len(w)))[:, None]
+    c = a / (np.array(base.values)[:, None] - mu)
+    c /= np.abs(c).max(axis=0)
+    x = vecs @ c
+    return _residual(m, mu, x.real, x.imag, max(1.0, float(np.linalg.norm(m, 2))))
+
+
+class TestResidualBound:
+    """The fast path accepts a cell on an O(n^2) upper bound of its eigenpair residuals,
+    never on the residuals themselves."""
+
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(2, 64),
+        density=st.floats(0.02, 1.0),
+        exponent=st.floats(-6, 6),
+        delta=st.floats(-3, 3).filter(lambda d: d != 0.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bound_holds_against_the_svd_oracle(self, seed, n, density, exponent, delta):
+        scale = 10.0**exponent
+        rng = np.random.default_rng(seed)
+        w = scale * random_signed_digraph_weights(rng, n, density)
+        node, delta = int(rng.integers(n)), scale * delta
+        base, vecs = netinstab.spectral._eigenpairs(w)
+        solve = netinstab.spectral._resolvent_solver(w, base, vecs)
+        assume(solve is not None)
+        m = shifted(SignedWeightedDigraph(weights=w), node, delta)
+        try:
+            es = solve(m, node, delta)
+        except NumericalFailure:  # the sweep would solve this cell with eigenvalues()
+            assume(False)
+        # sigma_min(m - mu I) <= residual_bound for every mu, with the slack of 4 eps ||m||_2
+        assert_svd_oracle_holds(m, es)
+        # and the bound is at least the residual of the built vectors, less that residual's
+        # rounding: x = fl(V C) is within n eps sqrt(n) ||c|| of V c, where
+        # ||V c|| >= sigma_min(V) ||c||, and m x - mu x is within (n + 2) eps (||m||_F + |mu|) ||x||
+        mu = np.array(es.values)
+        eps, sigma = np.finfo(float).eps, np.linalg.svd(vecs, compute_uv=False)[-1]
+        slack = 2 * (n + 2) * eps * (np.linalg.norm(m) + np.abs(mu).max()) * (1 + np.sqrt(n) / sigma)
+        assert es.residual_bound >= built_residual(w, base, vecs, m, mu) - slack
+
+    @pytest.mark.parametrize("inexact", ["values", "vectors", "coefficients"])
+    def test_bound_covers_each_inexact_input(self, monkeypatch, inexact):
+        # one input moved far past its rounding, so that one term of the bound carries the
+        # residual of the built vectors, though the cell still passes: the values mu (the
+        # secular term s + delta xi), W's eigenvectors V (E = W V - V Lambda) or a = V^-1 1
+        # (g = V a - 1). The values are taken from the matrix the moved input is exact for,
+        # so that only the one term grows: with V' and a' in place of V and a, the resolvent
+        # vectors are eigenvectors of V' Lambda V'^-1 + delta 1 e_j^T and of W + delta V a' e_j^T
+        w, (node, delta) = pattern_weights(48, 0), (5, 1.5)
+        base, vecs = netinstab.spectral._eigenpairs(w)
+        m = shifted(SignedWeightedDigraph(weights=w), node, delta)
+        exact = built_residual(w, base, vecs, m, np.linalg.eigvals(m))
+        noise, column = np.random.default_rng(0).normal(size=(2, 48, 48)), np.eye(48)[node]
+        eigvals, solve = np.linalg.eigvals, np.linalg.solve
+        if inexact == "values":
+            values = eigvals(m) + 1e-12 * (1 + 1j)
+        elif inexact == "vectors":
+            vecs = vecs + 1e-12 * (noise[0] + 1j * noise[1])
+            moved = (vecs * np.array(base.values)) @ np.linalg.inv(vecs)
+            values = eigvals(moved + delta * np.outer(np.ones(48), column))
+        else:
+            a = solve(vecs, np.ones(48)) * (1 + 1e-11 * noise[0, 0])
+            monkeypatch.setattr(np.linalg, "solve", lambda *_: a)
+            values = eigvals(w + delta * np.outer(vecs @ a, column))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda _: values)
+        es = netinstab.spectral._resolvent_solver(w, base, vecs)(m, node, delta)
+        built = built_residual(w, base, vecs, m, values)
+        assert built > 10 * exact
+        assert es.residual_bound >= built
+
+    def test_near_defective_eigenvectors_decline_every_cell(self, monkeypatch):
+        # J_4 - I/2 with 1e-8 in its corner has eigenvalues 1e-2 apart and near-parallel
+        # eigenvectors (kappa(V) near 1e6): the built vectors pass the residual test, but
+        # sigma_min(V) leaves the bound above it, so every cell goes to eigenvalues()
+        w = np.zeros((6, 6))
+        w[:4, :4] = np.eye(4, k=1) - 0.5 * np.eye(4)
+        w[3, 0], w[4, 0], w[0, 5] = 1e-8, 0.7, 0.4
+        w[4:, 4:] = [[-1.0, 0.3], [0.2, -2.0]]
+        graph = SignedWeightedDigraph(weights=w)
+        deltas = [0.5, 1.0]
+        base, vecs = netinstab.spectral._eigenpairs(w)
+        for node in range(6):
+            for delta in deltas:
+                m = shifted(graph, node, delta)
+                built = built_residual(w, base, vecs, m, np.linalg.eigvals(m))
+                assert built <= RESIDUAL_RTOL * np.linalg.norm(m, 2)
+        fast = patch_fast_path(monkeypatch)
+        table = perturbation_sweep(graph, deltas)
+        assert fast == {"solvers": 1, "calls": 12, "failed": 12}
         assert table.cells == column_by_column_sweep(graph, table.deltas)

@@ -36,6 +36,15 @@ APPENDIX_NSTC = {
 }
 
 
+def sparse_graph(n):
+    """An n-node graph with about 20 out-edges per node, drawn from seed n."""
+    rng = np.random.default_rng(n)
+    nodes = np.arange(n)[:, None]
+    weights = np.zeros((n, n))
+    weights[nodes, (nodes + rng.integers(1, n, (n, 20))) % n] = rng.uniform(-2, 2, (n, 20))
+    return SignedWeightedDigraph(weights=weights)
+
+
 def oracle_walks(weights, start):
     """Independent triple-loop enumeration of the two-step walk rule, in loop order."""
     n = weights.shape[0]
@@ -214,11 +223,7 @@ class TestVectorisedWalks:
     def test_block_memory_follows_the_budget_on_sparse_graphs(self, n):
         # about 20 out-edges per node: each walk prefix holds an n-byte mask row while
         # it is enumerated, which at n = 4096 outweighs the walks' 72-byte rows
-        rng = np.random.default_rng(n)
-        nodes = np.arange(n)[:, None]
-        weights = np.zeros((n, n))
-        weights[nodes, (nodes + rng.integers(1, n, (n, 20))) % n] = rng.uniform(-2, 2, (n, 20))
-        blocks = walk_blocks(SignedWeightedDigraph(weights=weights), BLOCK_BYTES, 72)
+        blocks = walk_blocks(sparse_graph(n), BLOCK_BYTES, 72)
         next(blocks)  # the first block also makes the edge table and the walk counts
         tracemalloc.start()
         try:
@@ -228,6 +233,20 @@ class TestVectorisedWalks:
             tracemalloc.stop()
         assert len(block[0]) > 0
         assert peak < 2 * BLOCK_BYTES
+
+    def test_setup_holds_one_edge_table(self):
+        # the pass holds graph.edges, n^2 bytes, throughout; making it and counting each
+        # node's walks takes no second n-by-n array beside it, only smaller ones (einsum's
+        # buffers, near 0.2 MB), and a block of one start node holds about 20 n-byte mask rows
+        n = 1024
+        graph = sparse_graph(n)
+        tracemalloc.start()
+        try:
+            next(walk_blocks(graph, 0, 72))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n + BLOCK_BYTES
 
     def test_products_added_left_to_right_in_walk_order(self):
         # node 0's walks have products 1e16, 1 and -1e16: added left to right the 1 is
