@@ -36,7 +36,8 @@ class NumericalFailure(NetinstabError):
 
 
 class TooLarge(NetinstabError):
-    """Graph exceeds the work bound of exact cycle enumeration."""
+    """Graph exceeds the work bound of exact cycle enumeration, or the bound below
+    which the motif method's cycle counts are exact in float64."""
 
 
 class DivergedTraining(NetinstabError):

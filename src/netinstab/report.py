@@ -390,11 +390,13 @@ def run(config: AnalysisConfig) -> dict:
 
     summary.json holds exactly `json.dumps(summary, indent=2, sort_keys=True)`.
 
-    A `perturb_node` outside the graph, a model without labels with
-    `attention` selected, and a graph past the motif work bound
-    (`motifs.check_size`) are refused before any file or directory is written,
+    A `perturb_node` outside the graph and a model without labels with
+    `attention` selected are refused before any file or directory is written,
     and a directory where a file goes before any method runs or any file is
-    written. Each method writes its CSVs under temporary names in the output
+    written. A graph too large for the motifs method (`TooLarge`: past the
+    count bound of its inclusion–exclusion, or past the work bound of the
+    enumeration it falls back to) is refused when that method runs, like any
+    other failure below. Each method writes its CSVs under temporary names in the output
     directory as it runs (the walk rows a block at a time, the nstc scores
     found on the way); summary.json is encoded and written so once every CSV
     is. Only then are the CSVs of the methods not run removed (and no other
@@ -411,8 +413,6 @@ def run(config: AnalysisConfig) -> dict:
         config = replace(config, perturb_node=node)
     if "attention" in config.methods and graph.node_labels is None:
         raise BadParameter("model has no 'labels' field; the attention method needs targets")
-    if "motifs" in config.methods:
-        motifs.check_size(graph)
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

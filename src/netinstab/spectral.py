@@ -247,9 +247,9 @@ def _resolvent_solver(
 ) -> Callable[[np.ndarray, int, float], EigenSet] | None:
     """Verified eigenvalues of the sweep's cell (m, j, delta), m = w with delta
     added to column j, given w's eigenpairs (base, vecs); None if vecs is
-    singular, a = V^-1 1 is not finite or has a component that is zero to
-    rounding, or V's computed inverse cannot bound its smallest singular value
-    away from 0.
+    singular, a = V^-1 1 (taken as X 1, X the computed inverse of V) is not
+    finite or has a component that is zero to rounding, or X cannot bound V's
+    smallest singular value away from 0.
 
     For an eigenvalue mu of such a matrix that is not one of w's, an
     eigenvector is the resolvent vector (w - mu I)^-1 1 = V (Lambda - mu I)^-1 a
@@ -330,10 +330,10 @@ def _resolvent_solver(
     """
     n = len(vecs)
     try:
-        a = np.linalg.solve(vecs, np.ones(n))
         inv = np.linalg.inv(vecs)
     except np.linalg.LinAlgError:  # vecs is singular: W is defective
         return None
+    a = inv.sum(axis=1)  # X 1, its rounding measured by g below
     size, av = np.abs(a), np.abs(vecs)
     if not (np.isfinite(a).all() and size.min() > n * np.finfo(float).eps * size.max()):
         return None

@@ -433,14 +433,19 @@ class TestRun:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
         assert "summary.json" in first
 
-    def test_motif_guard_refuses_before_any_file_is_written(self, tmp_path):
-        # the complete 48-node digraph: its work bound passes the memory cap
-        model = write_model(tmp_path / "m.json", np.ones((48, 48)))
+    def test_motif_guard_leaves_the_output_as_it_was(self, tmp_path):
+        # the complete 48-node digraph, each edge i -> i + 1 (mod 48) negative: every node is
+        # like every other, so the costs tie, inclusion–exclusion gives way to enumeration,
+        # and its work bound passes the memory cap. The sweep has run and written by then
+        w = np.ones((48, 48)) - 2 * np.roll(np.eye(48), 1, axis=1)
+        model = write_model(tmp_path / "m.json", w)
         out = tmp_path / "out"
+        run(AnalysisConfig(model_path=model, methods=("nstc",), output_dir=str(out)))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         config = AnalysisConfig(model_path=model, methods=("spectral", "motifs"), output_dir=str(out))
         with pytest.raises(TooLarge, match=r"motifs method .* work bound for n=48 is .* cap of 256 MiB"):
             run(config)
-        assert not out.exists()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize(
         "methods, node",
@@ -470,7 +475,7 @@ class TestRun:
 
     def test_motifs_past_the_old_guard_match_the_scan_oracle(self, tmp_path):
         from conftest import random_signed_digraph_weights
-        from test_motifs import scan_oracle_table
+        from test_motifs import certified_rows
 
         graph = SignedWeightedDigraph(
             weights=random_signed_digraph_weights(np.random.default_rng(24), 24, density=0.3)
@@ -478,7 +483,7 @@ class TestRun:
         model = write_model(tmp_path / "m.json", graph.weights)
         config = AnalysisConfig(model_path=model, methods=("motifs", "nstc"), output_dir=str(tmp_path))
         summary = run(config)
-        assert summary["methods"]["motifs"]["rows"] == [asdict(r) for r in scan_oracle_table(graph)]
+        assert summary["methods"]["motifs"]["rows"] == [asdict(r) for r in certified_rows(graph)]
         assert len(read_csv(tmp_path / "motif_costs.csv")[1]) == 24
 
     def test_summary_contains_every_csv_number(self, tmp_path):
