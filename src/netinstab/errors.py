@@ -36,8 +36,7 @@ class NumericalFailure(NetinstabError):
 
 
 class TooLarge(NetinstabError):
-    """Graph exceeds the work bound of exact cycle enumeration, or the bound below
-    which the motif method's cycle counts are exact in float64."""
+    """Graph exceeds the work bound of exact cycle enumeration."""
 
 
 class DivergedTraining(NetinstabError):

@@ -10,11 +10,12 @@ the total cost combines the four lengths as the cube root of the absolute produc
 `motif_table` scores by closed-walk inclusion–exclusion in O(n³)
 (`_closed_walk_table`): each node's k-cycle sums come from sums over the
 walk-position partitions of matrix powers of four stacked layers, each with a
-certified radius about the exact value. Where those radii cannot order two
-nonzero total costs (a tie, as piezo's nodes 2 and 6), or a value on the way
-leaves float64's normal range, it falls back to enumeration,
-which gives the scores of earlier releases bit for bit, its overflow errors
-and underflow zeros included.
+certified radius about the exact value. Where a cycle count could pass 2**53
+(a node of in- or out-degree past 613), those radii cannot order two nonzero
+total costs (a tie, as piezo's nodes 2 and 6), or a value on the way leaves
+float64's normal range, it falls back to enumeration, which gives the scores
+of earlier releases bit for bit, its overflow errors and underflow zeros
+included.
 
 Enumeration is exact. `_cycle_layers` grows every simple path from a block of
 start nodes one edge at a time, as numpy columns, stepping only to nodes above
@@ -342,12 +343,12 @@ def _normal(x: np.ndarray) -> np.ndarray:
 def _closed_walk_table(
     graph: SignedWeightedDigraph,
 ) -> tuple[list[MotifScoreRow], np.ndarray, np.ndarray] | None:
-    """Motif rows by closed-walk inclusion–exclusion, with certified radii; None where the
-    radii cannot order two nonzero total costs, or a value leaves float64's normal range.
+    """Motif rows by closed-walk inclusion–exclusion, with certified radii; None where a
+    cycle count could pass 2**53 (below), where the radii cannot order two nonzero total
+    costs, or where a value leaves float64's normal range.
 
     Returns the rows, each score's radius (one row per length, one column per node) and
     each total cost's radius: the exact score or cost is within its radius of the row's.
-    Raises `TooLarge` when a cycle count could pass 2**53 (below).
 
     The four stacked layers are the masked weights W (`where(edges, W, 0)`, so the
     diagonal is 0), |W|, the 0/1 support B and sign W. Every layer is an entrywise
@@ -358,7 +359,8 @@ def _closed_walk_table(
     maps of a connected part of its pattern with at least one node fixed, and is at most
     D^(k-1), D the largest in- or out-degree; the partial sums of S are at most Σ_π |c_π|
     D^(k-1). While twice that is at most 2**53, every sum of those layers is exact, and a
-    count is positive exactly when a node is on an imbalanced k-cycle.
+    count is positive exactly when a node is on an imbalanced k-cycle; past it (D > 613),
+    the method gives up.
 
     W is scaled by an exact power of 2 into |w| < 1 first and each length's total is
     scaled back exactly, so no sum overflows. If the smallest entry's 6th power could
@@ -398,14 +400,9 @@ def _closed_walk_table(
     """
     n, edge = graph.n, graph.edges
     reach = int(max(edge.sum(axis=0).max(initial=0), edge.sum(axis=1).max(initial=0)))
-    for k, terms in zip(_LENGTHS, _terms()):
-        weight = sum(abs(c) for c, _ in terms)
-        if 2 * weight * reach ** (k - 1) > 2**53:
-            raise TooLarge(
-                f"the motifs method counts cycles in float64, exactly only below 2**53; for n={n} "
-                f"its {k}-cycle count bound 2 * {weight} * D**{k - 1} at the largest in- or "
-                f"out-degree D={reach} is {2 * weight * reach ** (k - 1):.3g}"
-            )
+    bounds = [2 * sum(abs(c) for c, _ in terms) * reach ** (k - 1) for k, terms in zip(_LENGTHS, _terms())]
+    if max(bounds) > 2**53:  # a count could be inexact: enumeration scores the graph, or refuses it
+        return None
     weights = np.where(edge, graph.weights, 0.0)
     shift = math.frexp(float(np.abs(weights).max(initial=0.0)))[1]
     w = np.ldexp(weights, -shift)
@@ -489,7 +486,7 @@ def motif_table(graph: SignedWeightedDigraph) -> list[MotifScoreRow]:
 
     Raises `NumericalFailure` naming the first node with a non-finite score or
     total cost, which cycle weight products past float64 give, and `TooLarge`
-    past the count bound of the one method or the work bound of the other.
+    past enumeration's work bound, the one refusal of either method.
     """
     certified = _closed_walk_table(graph)
     return certified[0] if certified else _table(_enumerated_scores(graph))

@@ -394,9 +394,8 @@ def run(config: AnalysisConfig) -> dict:
     `attention` selected are refused before any file or directory is written,
     and a directory where a file goes before any method runs or any file is
     written. A graph too large for the motifs method (`TooLarge`: past the
-    count bound of its inclusion–exclusion, or past the work bound of the
-    enumeration it falls back to) is refused when that method runs, like any
-    other failure below. Each method writes its CSVs under temporary names in the output
+    work bound of the enumeration its inclusion–exclusion falls back to) is
+    refused when that method runs, like any other failure below. Each method writes its CSVs under temporary names in the output
     directory as it runs (the walk rows a block at a time, the nstc scores
     found on the way); summary.json is encoded and written so once every CSV
     is. Only then are the CSVs of the methods not run removed (and no other

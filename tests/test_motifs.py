@@ -546,14 +546,22 @@ class TestPaths:
 
     def test_count_bound(self):
         # a star whose centre has in-degree D: its counts are bounded by 2 * 52 * D**5, which
-        # 2**53 admits up to D = 613. One weight of 1e-300 makes inclusion–exclusion give way
-        # to enumeration after the bound check, so the admitted star costs no n**3 work
-        def star(degree):
+        # 2**53 admits up to D = 613. Past it, inclusion–exclusion gives way to enumeration
+        # before it scales the weights (`math.frexp`), so the acyclic star costs no n**3 work
+        def star(degree, first=1.0):
             w = np.zeros((degree + 1, degree + 1))
             w[1:, 0] = 1.0
-            w[1, 0] = 1e-300
+            w[1, 0] = first
             return SignedWeightedDigraph(weights=w)
 
-        assert all(row.total_cost == 0 for row in motif_table(star(613)))
-        with pytest.raises(TooLarge, match=r"exactly only below 2\*\*53.* 2 \* 52 \* D\*\*5 .* D=614 is 9.08e\+15"):
-            motif_table(star(614))
+        # one weight of 1e-300 makes the method give way after the bound, at the underflow check
+        for graph, passed in ((star(613, 1e-300), True), (star(614), False)):
+            with mock.patch("netinstab.motifs.math.frexp", wraps=math.frexp) as scaled:
+                assert motifs._closed_walk_table(graph) is None
+            assert scaled.called == passed
+        with counting_enumerations() as layers:
+            rows = motif_table(star(614))
+        assert layers.call_count > 0 and all(row == MotifScoreRow(row.node, 0, 0, 0, 0, 0) for row in rows)
+        # a complete digraph past the count bound is refused by enumeration's work bound
+        with pytest.raises(TooLarge, match="MiB"):
+            motif_table(SignedWeightedDigraph(weights=1.0 - np.eye(700)))

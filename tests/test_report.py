@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import asdict, replace
@@ -38,7 +40,9 @@ from netinstab import (
     self_attention_embed,
     train_seeds,
 )
+import netinstab
 from netinstab import report
+from netinstab.agcn import MAX_ITERATIONS
 from netinstab.cli import main
 from netinstab.graph import BLOCK_BYTES
 from netinstab.report import (
@@ -181,11 +185,16 @@ class TestConfig:
                 for value in (True, "x")
             ),
             ("methods", [["nstc"]], "methods must be"),  # unhashable
+            ("iterations", MAX_ITERATIONS + 1, f"iterations must be an integer from 1 to {MAX_ITERATIONS}"),
+            ("iterations", 10**12, "iterations"),  # not a loss array of terabytes
         ],
     )
     def test_bad_training_input_rejected_before_running(self, field, value, named):
         with pytest.raises(BadParameter, match=named):
             AnalysisConfig(**{field: value})
+
+    def test_iterations_at_the_cap_accepted(self):
+        assert AnalysisConfig(iterations=MAX_ITERATIONS).hyperparams().iterations == MAX_ITERATIONS
 
     def test_perturb_factor_without_perturb_node_rejected(self):
         with pytest.raises(BadParameter, match="perturb_factor=3.0 needs a perturb_node"):
@@ -731,6 +740,30 @@ class TestSummaryWriter:
         # a block's walks, lanes and text, plus the tables and the model, which go by edge
         assert peak < 3 * BLOCK_BYTES + 128 * n * n
 
+    def test_n256_nstc_run_peaks_below_80_mb(self, tmp_path):
+        # the 1.5 million walks of an n = 256, density-0.3 model, held a block of start nodes
+        # at a time: about 37 MB of RSS, where holding every walk at once took 103 MB. The
+        # child reports the peak of its own address space, Linux's VmHWM in KiB. Its
+        # ru_maxrss would not do: exec keeps the peak of the address space it replaces,
+        # here this process's (226 MB late in the suite), and RUSAGE_CHILDREN
+        # here is the largest of every child this process has waited for
+        rng = np.random.default_rng(256)
+        weights = np.where(rng.random((256, 256)) < 0.3, rng.uniform(-2, 2, (256, 256)), 0.0)
+        model = write_model(tmp_path / "n256.json", weights)
+        child = (
+            "import sys\n"
+            "from netinstab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+            "sys.exit(code)"
+        )
+        src = str(Path(netinstab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["analyze", "--model", model, "--method", "nstc", "--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, check=True)
+        peak_mb = int(done.stdout.split()[-2]) / 1024  # "VmHWM: <KiB> kB"
+        assert peak_mb < 80, peak_mb
+
     def test_summary_holds_no_walk_rows(self, tmp_path):
         summary = run(AnalysisConfig(methods=("nstc",), output_dir=str(tmp_path)))
         assert "walks" not in summary["methods"]["nstc"]
@@ -929,9 +962,10 @@ class TestCli:
             "5",
             '{"n": 1, "adjacency": [["x"]], "features": [[1.0]]}',
             '{"n": true, "adjacency": [[0.5]], "features": [[1]]}',
+            '{"n": 1, "adjacency": [[true]], "features": [[1]]}',
             "[" * 200_000,
         ],
-        ids=["not an object", "non-numeric adjacency", "n is true", "deeply nested"],
+        ids=["not an object", "non-numeric adjacency", "n is true", "boolean adjacency", "deeply nested"],
     )
     def test_malformed_model_fails_with_diagnostic(self, tmp_path, capsys, doc):
         model = tmp_path / "model.json"

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import netinstab.spectral
-from netinstab.report import AnalysisConfig
+from netinstab.report import AnalysisConfig, _csv, run
 from netinstab.spectral import RESIDUAL_RTOL, ZERO_RTOL, SweepCell, _bracket, _residual, _verified
 from netinstab import (
     BadMatrix,
@@ -66,19 +67,22 @@ def assert_svd_oracle_holds(m, es):
 
 
 def column_by_column_sweep(graph, grid):
-    """Reference sweep: every (node, delta) matrix built and solved on its own."""
-    cells = {}
+    """Reference sweep: every (node, delta) matrix built and solved on its own. A matrix
+    equal bit for bit to one already solved (delta = 0 at each node, unless a weight of
+    -0.0 turns to 0.0) takes that solve's value."""
+    cells, solved = {}, {}
     for node in range(graph.n):
         for delta in grid:
             w = graph.weights.copy()
             w[:, node] += delta
-            try:
-                value = largest_negative_eigenvalue(eigenvalues(w))
-            except NumericalFailure:
-                cells[(node, delta)] = SweepCell(node, delta, None, "failed")
-                continue
-            status = "ok" if value is not None else "no_negative"
-            cells[(node, delta)] = SweepCell(node, delta, value, status)
+            key = w.tobytes()
+            if key not in solved:
+                try:
+                    value = largest_negative_eigenvalue(eigenvalues(w))
+                    solved[key] = (value, "ok" if value is not None else "no_negative")
+                except NumericalFailure:
+                    solved[key] = (None, "failed")
+            cells[(node, delta)] = SweepCell(node, delta, *solved[key])
     return cells
 
 
@@ -559,6 +563,26 @@ class TestNormBracket:
                 assert es.residual_bound < 0.1 * RESIDUAL_RTOL * unit
         assert fast == {"solvers": 1, "calls": 8 * len(grid), "failed": 0}
         assert len(svds) == 1  # the delta = 0 solve's
+
+    def test_n128_sweep_csv_equals_the_oracle(self, tmp_path, monkeypatch):
+        # a density-0.3 model whose edges and weights come from one generator, on the grid
+        # delta = 1, 2, 3: 512 cells, each of the 384 off delta = 0 verified by the bound
+        rng = np.random.default_rng(128)
+        w = np.where(rng.random((128, 128)) < 0.3, rng.uniform(-2, 2, (128, 128)), 0.0)
+        model = tmp_path / "n128.json"
+        model.write_text(json.dumps({"n": 128, "adjacency": w.tolist(), "features": [[1.0]] * 128}))
+        config = AnalysisConfig(
+            model_path=str(model), methods=("spectral",), output_dir=str(tmp_path / "out"),
+            delta_min=1, delta_max=3, delta_step=1,
+        )
+        fast = patch_fast_path(monkeypatch)
+        run(config)
+        assert fast == {"solvers": 1, "calls": 128 * 3, "failed": 0}
+        cells = column_by_column_sweep(SignedWeightedDigraph(weights=w), [0.0, *config.delta_grid()])
+        rows = [list(astuple(cells[key])) for key in sorted(cells)]
+        assert len(rows) == 512
+        expected = _csv(["node", "delta", "largest_negative_eigenvalue", "status"], rows)
+        assert (tmp_path / "out" / "spectral_sweep.csv").read_text() == expected
 
     def test_piezo_takes_an_svd_per_cell(self, piezo, monkeypatch):
         # every cell but the shared delta = 0 one is an eigenvalues() solve, which takes its own
