@@ -156,8 +156,12 @@ def total_degree(graph: SignedWeightedDigraph, node: int) -> int:
     A self-loop appears in both the row and the column, so it contributes 2.
     """
     _check_node(graph, node)
-    w = graph.weights
-    return int(np.count_nonzero(w[node, :]) + np.count_nonzero(w[:, node]))
+    return int(_total_degrees(graph)[node])
+
+
+def _total_degrees(graph: SignedWeightedDigraph) -> np.ndarray:
+    """Every node's `total_degree`, as integers."""
+    return np.count_nonzero(graph.weights, axis=0) + np.count_nonzero(graph.weights, axis=1)
 
 
 def perturb_column(graph: SignedWeightedDigraph, node: int, delta: float) -> SignedWeightedDigraph:

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import graph as _graph
 from .errors import NumericalFailure, TooLarge, whole_number
-from .graph import SignedWeightedDigraph, _check_node
+from .graph import SignedWeightedDigraph, _check_node, _total_degrees
 
 MIN_CYCLE_LEN = 3
 MAX_CYCLE_LEN = 6
@@ -174,7 +174,7 @@ def _enumerated_scores(graph: SignedWeightedDigraph) -> np.ndarray:
             # a total that overflows fails below
             with np.errstate(over="ignore"):
                 np.add.at(total, nodes[imbalanced].ravel(), np.repeat(products[imbalanced], length))
-    scores = np.where(totals != 0, totals / np.maximum(_squared_degrees(graph), 1), 0.0)
+    scores = np.where(totals != 0, totals / np.maximum(_total_degrees(graph) ** 2, 1), 0.0)
     for length, row in zip(_LENGTHS, scores):
         for node in np.flatnonzero(~np.isfinite(row))[:1].tolist():
             raise NumericalFailure(
@@ -182,12 +182,6 @@ def _enumerated_scores(graph: SignedWeightedDigraph) -> np.ndarray:
                 "cycle weight products or their sum overflow float64"
             )
     return scores
-
-
-def _squared_degrees(graph: SignedWeightedDigraph) -> np.ndarray:
-    """Each node's `total_degree`, squared, as floats."""
-    w = graph.weights
-    return (np.count_nonzero(w, axis=0) + np.count_nonzero(w, axis=1)).astype(float) ** 2
 
 
 def _partitions(k: int) -> Iterator[tuple[int, ...]]:
@@ -422,7 +416,7 @@ def _closed_walk_table(
     length = np.array(_LENGTHS)[:, None]
     m = 2 * length + (length - 1) * (n - 1) + np.count_nonzero(coefficients, axis=1)[:, None] + 1
     with np.errstate(all="ignore"):  # the nodes with no imbalanced k-cycle stay 0
-        scores = np.where(counted, np.ldexp(total, shift * length) / _squared_degrees(graph), 0.0)
+        scores = np.where(counted, np.ldexp(total, shift * length) / _total_degrees(graph) ** 2, 0.0)
         relative = np.where(counted, 2 * m * _UNIT / (1 - m * _UNIT) * absolute / abs(total) + 2 * _UNIT, 0.0)
         partial = np.cumprod(scores, axis=0)[1:]  # w3 w4, then times w5 and w6, as `_table` multiplies
     costed = counted.all(axis=0)

@@ -390,12 +390,17 @@ def run(config: AnalysisConfig) -> dict:
 
     summary.json holds exactly `json.dumps(summary, indent=2, sort_keys=True)`.
 
-    A `perturb_node` outside the graph and a model without labels with
-    `attention` selected are refused before any file or directory is written,
-    and a directory where a file goes before any method runs or any file is
-    written. A graph too large for the motifs method (`TooLarge`: past the
-    work bound of the enumeration its inclusion–exclusion falls back to) is
-    refused when that method runs, like any other failure below. Each method writes its CSVs under temporary names in the output
+    A `perturb_node` outside the graph, a model without labels with
+    `attention` selected and a delta grid with no point above 0 with
+    `spectral` selected (the sweep's end score is read at the largest delta,
+    which would leave every node the shared delta = 0 value) are refused
+    before any file or directory is written, and a directory where a file
+    goes before any method runs or any file is written. A graph too large for
+    the motifs method (`TooLarge`: past the work bound of the enumeration its
+    inclusion–exclusion falls back to) is refused when that method runs, like
+    any other failure below.
+
+    Each method writes its CSVs under temporary names in the output
     directory as it runs (the walk rows a block at a time, the nstc scores
     found on the way); summary.json is encoded and written so once every CSV
     is. Only then are the CSVs of the methods not run removed (and no other
@@ -410,6 +415,11 @@ def run(config: AnalysisConfig) -> dict:
     if config.perturb_node is not None:
         node = whole_number(config.perturb_node, "perturb_node", 0, graph.n - 1)
         config = replace(config, perturb_node=node)
+    if "spectral" in config.methods and max(config.delta_grid()) <= 0:
+        raise BadParameter(
+            f"delta_max={config.delta_max}: the spectral sweep needs a delta above 0, "
+            "since its end score is read at the largest delta"
+        )
     if "attention" in config.methods and graph.node_labels is None:
         raise BadParameter("model has no 'labels' field; the attention method needs targets")
     out = Path(config.output_dir)

@@ -18,9 +18,10 @@ eigenpairs without forming the vectors (`_resolvent_solver`); a cell whose
 bound fails is solved again, with its own eigenvectors, by `eigenvalues`.
 Either way every accepted value passes the same residual, trace and
 finiteness test, on its explicit residual or on an upper bound of it. The
-test scales with max(1, ||m||_2); the fast path brackets ||m||_2 between two
-norms that take O(n^2), and computes it by SVD only for a cell where some
-check reads differently at the bracket's two ends.
+test scales with max(1, ||m||_2). The delta = 0 solve takes W's by SVD; m
+differs from W by delta in one column, so the fast path brackets the cell's
+from W's, delta and that column in O(n), and takes the cell's SVD only where
+some check reads differently at the bracket's two ends.
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ RESIDUAL_RTOL = 1e-9
 # negative; rank-deficient matrices otherwise leak +-1e-16 noise eigenvalues
 # into the "largest negative" pick
 ZERO_RTOL = 1e-9
-# the fast path widens its bracket on max(1, ||m||_2) by this much at each end,
-# for rounding: see `_bracket`
+# the fast path widens its bracket on max(1, ||m||_2) by this much, for rounding:
+# see `_resolvent_solver`
 NORM_MARGIN = 1e-8
 _U = np.finfo(float).eps / 2  # unit roundoff of float64
 
@@ -74,14 +75,15 @@ def eigenvalues(matrix) -> EigenSet:
     return _eigenpairs(m)[0]
 
 
-def _eigenpairs(m: np.ndarray) -> tuple[EigenSet, np.ndarray]:
-    """`eigenvalues` of a finite square float matrix, with the eigenvectors it verified."""
+def _eigenpairs(m: np.ndarray) -> tuple[EigenSet, np.ndarray, float]:
+    """`eigenvalues` of a finite square float matrix, with the eigenvectors it verified
+    and the unit `_unit(m)` it verified them at."""
     try:
         vals, vecs = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigenvalue iteration failed to converge: {exc}") from exc
     unit = _unit(m)
-    return _verified(m, vals, _residual(m, vals, vecs.real, vecs.imag, unit), (unit, unit)), vecs
+    return _verified(m, vals, _residual(m, vals, vecs.real, vecs.imag, unit), (unit, unit)), vecs, unit
 
 
 def _unit(m: np.ndarray) -> float:
@@ -115,8 +117,8 @@ def _verified(
 ) -> EigenSet:
     """The acceptance test for the values vals of m, given residual, an upper bound
     on each eigenpair residual ||m x - v x|| / ||x|| (or that residual itself), and
-    units = (lo, hi) with lo <= max(1, ||m||_2) <= hi; None stands for `_unit(m)`
-    at both ends.
+    units = (lo, hi) with lo <= `_unit(m)` <= hi; None stands for `_unit(m)` at
+    both ends.
 
     The test reads at the unit max(1, ||m||_2): the residual is at most
     RESIDUAL_RTOL times it, the values sum to the trace within 1e-6 times it,
@@ -126,7 +128,8 @@ def _verified(
     the set is built at hi; where one does not, the same residual is read
     again at `_unit(m)`. `eigenvalues` passes lo = hi = `_unit(m)` and the
     residual `_residual` takes at that unit; this is then the plain test at
-    that unit.
+    that unit. The sweep's fast path passes a bracket it builds from W's unit,
+    with no SVD of m (see `_resolvent_solver`).
     """
     lo, hi = units or (_unit(m),) * 2
     if not (np.isfinite(hi) and np.all(np.isfinite(vals))):
@@ -204,14 +207,14 @@ def perturbation_sweep(graph: SignedWeightedDigraph, deltas) -> PerturbationSwee
     # gave it) added to the whole matrix, so a + 0.0 turns every -0.0 weight into 0.0
     zero = grid[grid.index(0.0)]
     try:
-        base, vecs = _eigenpairs(graph.weights + zero)
+        base, vecs, unit = _eigenpairs(graph.weights + zero)
     except NumericalFailure:
         base, fast = None, None
     else:
-        fast = _resolvent_solver(graph.weights, base, vecs)
+        fast = _resolvent_solver(graph.weights, base, vecs, unit)
 
     def solve(w: np.ndarray, node: int, delta: float) -> EigenSet | None:
-        if not np.isfinite(w).all():  # the perturbed column overflowed float64
+        if not np.isfinite(w[:, node]).all():  # the perturbed column overflowed float64; W is finite
             return None
         if fast is not None:
             try:
@@ -243,13 +246,14 @@ def perturbation_sweep(graph: SignedWeightedDigraph, deltas) -> PerturbationSwee
 
 
 def _resolvent_solver(
-    w: np.ndarray, base: EigenSet, vecs: np.ndarray
+    w: np.ndarray, base: EigenSet, vecs: np.ndarray, unit: float
 ) -> Callable[[np.ndarray, int, float], EigenSet] | None:
     """Verified eigenvalues of the sweep's cell (m, j, delta), m = w with delta
-    added to column j, given w's eigenpairs (base, vecs); None if vecs is
-    singular, a = V^-1 1 (taken as X 1, X the computed inverse of V) is not
-    finite or has a component that is zero to rounding, or X cannot bound V's
-    smallest singular value away from 0.
+    added to column j, given w's eigenpairs (base, vecs) and unit, `_unit(w)`
+    (all three from `_eigenpairs`); None if vecs is singular, a = V^-1 1
+    (taken as X 1, X the computed inverse of V) is not finite or has a
+    component that is zero to rounding, or X cannot bound V's smallest
+    singular value away from 0.
 
     For an eigenvalue mu of such a matrix that is not one of w's, an
     eigenvector is the resolvent vector (w - mu I)^-1 1 = V (Lambda - mu I)^-1 a
@@ -259,12 +263,12 @@ def _resolvent_solver(
     the computed s (Lambda - mu I)^-1 a and s = max_ik |m_ik| (so that the
     squares of q neither overflow nor underflow), at O(n^2) cost from
     quantities set up once per sweep; x itself is never formed. The bound then
-    takes `eigenvalues`' own test in `_verified`, read at `_bracket`'s two
-    ends. Where w and the cell share an eigenvalue whose eigenvector this
-    formula cannot reach, the bound fails the test and the cell raises
-    NumericalFailure. With a_k = 0, lambda_k is such an eigenvalue of every
-    cell (row k of V^-1 is a left eigenvector of each), so no cell would pass:
-    piezo's triple zero eigenvalue has |a_k| near 1e-15.
+    takes `eigenvalues`' own test in `_verified`, read at the two ends of a
+    bracket on `_unit(m)` (below). Where w and the cell share an eigenvalue
+    whose eigenvector this formula cannot reach, the bound fails the test and
+    the cell raises NumericalFailure. With a_k = 0, lambda_k is such an
+    eigenvalue of every cell (row k of V^-1 is a left eigenvector of each), so
+    no cell would pass: piezo's triple zero eigenvalue has |a_k| near 1e-15.
 
     The bound. With m[:, j] = w[:, j] + delta 1 + e (e the rounding of that
     sum), E = w V - V Lambda, g = V a - 1 and eta = (Lambda - mu I) q - s a,
@@ -321,6 +325,22 @@ def _resolvent_solver(
     1% of the test's tolerance, and at least nine times the residual of the
     explicitly built x.
 
+    The bracket. m - w is column j alone, delta 1 + e, so ||m||_2 is within
+    |delta| sqrt(n) + ||e|| of ||w||_2 (triangle inequality), and `_unit(m)`
+    within r = |delta| sqrt(n) + NORM_MARGIN (unit + |delta| sqrt(n)) of unit;
+    also ||m e_j|| <= ||m||_2. So the test reads at lo = max(1, unit - r,
+    ||m e_j|| (1 - NORM_MARGIN)) and hi = unit + r. The margin covers each
+    rounding, within a multiple of u of unit + |delta| sqrt(n) (which bounds
+    ||w||_2 and ||m||_2): the two SVDs' largest singular values, within p(n) u,
+    p a modest function of n (LAPACK Users' Guide, 3rd ed., §4.9), ||e||, the
+    roundings of r, lo and hi, and gamma_{n+4} for ||m e_j||, taken as
+    s ||m e_j / s|| with s its largest entry so that no square overflows. It
+    holds while 2 p(n) + n + 16 < NORM_MARGIN / u, about 9e7. Each tolerance
+    of `_verified` is a constant times the unit, and a rounded product keeps
+    the order of its factors, so nothing else needs a margin. A margin
+    relative to lo would not do: where unit - |delta| sqrt(n) cancels, as for
+    a column of -delta, the SVD's rounding of ||w||_2 can be many times ||m||_2.
+
     A matrix with a nonzero entry below RESIDUAL_RTOL times its largest is
     declined with NumericalFailure before any solve. On such a matrix LAPACK's
     balancing can leave `np.linalg.eig` with right eigenvalues but
@@ -371,16 +391,19 @@ def _resolvent_solver(
             mu = np.linalg.eigvals(m)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"eigenvalue iteration failed to converge: {exc}") from exc
-        top, e_norm, step = size.max(), _U * root * size[:, j].max(), root * abs(delta)
+        top, column, step = size.max(), size[:, j].max(), root * abs(delta)
+        e_norm = _U * root * column
         # mu == lambda_k divides by zero, and an overflowing q gives an infinite norm:
-        # either leaves a NaN bound, which fails the test
+        # either leaves a NaN bound, which fails the test; so does an overflowing hi
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             q = (a * top) / (lam - mu[:, None])  # row i for mu_i
             xi = q @ vecs[j]
             terms = root * np.abs(top + delta * xi) + (3 * _U * step + e_norm) * np.abs(xi) + top * fixed
             worst = float((terms / np.linalg.norm(q, axis=1)).max())
+            reach = step + NORM_MARGIN * (unit + step)  # `_unit(m)` is within reach of unit: see "The bracket"
+            norm_j = column * float(np.linalg.norm(m[:, j] / column)) if column else 0.0
         bound = float((worst + xi_rel[j] * (step + e_norm) + e_hi) * scale)
-        return _verified(m, mu, bound, _bracket(m))
+        return _verified(m, mu, bound, (max(1.0, unit - reach, norm_j * (1 - NORM_MARGIN)), unit + reach))
 
     return solve
 
@@ -393,31 +416,6 @@ def _gamma(k: int, u: float = _U) -> float:
 def _norm_hi(x: np.ndarray) -> float:
     """An upper bound on the Frobenius norm of x, from its computed norm; see `_resolvent_solver`."""
     return float(np.linalg.norm(x)) * (1 + _gamma(2 * x.size + 4))
-
-
-def _bracket(m: np.ndarray) -> tuple[float, float] | None:
-    """(lo, hi) with lo <= max(1, ||m||_2) <= hi, at O(n^2) cost; None if the
-    squares of m's entries overflow.
-
-    The largest column or row 2-norm is at most ||m||_2, and the Frobenius norm
-    at least (Golub & Van Loan, Matrix Computations, 4th ed., §2.3). Both come
-    from the matrix alone, not from the values under test. Each end is widened
-    by NORM_MARGIN, after the max(1, .), so that the bracket holds the unit
-    that `_unit`'s SVD gives, not only the exact one. With u = 2**-53 and
-    values in float64's normal range, those differ by at most p(n) u for
-    LAPACK's largest singular value, p a modest function of n (LAPACK Users'
-    Guide, 3rd ed., §4.9), and (n^2/2 + 2) u for the two norms, rounded sums
-    of at most n^2 squares (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., §3.1 and §4.2). `_verified` reads one residual at
-    both ends, and each tolerance is a constant times the unit; a rounded
-    product keeps the order of its factors, so nothing else needs a margin.
-    Up to n = 10,000 the two sum below 6e-9.
-    """
-    with np.errstate(over="ignore"):  # an overflowing square leaves hi infinite
-        squares = m * m
-        lo, hi = np.sqrt([max(squares.sum(0).max(), squares.sum(1).max()), squares.sum()]).tolist()
-    units = (max(lo, 1.0) * (1 - NORM_MARGIN), max(hi, 1.0) * (1 + NORM_MARGIN))
-    return units if units[1] < np.inf else None
 
 
 def sweep_end_scores(table: PerturbationSweepTable) -> list[float | None]:

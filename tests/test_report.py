@@ -900,6 +900,15 @@ class TestCli:
         assert err.startswith("error: perturb_factor=3.0") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_grid_without_a_positive_delta_fails_before_out(self, tmp_path, capsys):
+        # every end score would be the shared delta = 0 value, and the ranks would read by index
+        argv = ["analyze", "--model", "piezo", "--delta-min", "-3", "--delta-max", "-0.5"]
+        assert main([*argv, "--method", "spectral,nstc", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta_max=-0.5") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert main([*argv, "--method", "nstc", "--out", str(tmp_path / "nstc")]) == 0  # no sweep, no refusal
+
     def test_duplicate_seed_fails(self, tmp_path, capsys):
         argv = ["analyze", "--model", "piezo", "--method", "attention", "--seed", "1", "1"]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1

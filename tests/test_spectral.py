@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import netinstab.spectral
 from netinstab.report import AnalysisConfig, _csv, run
-from netinstab.spectral import RESIDUAL_RTOL, ZERO_RTOL, SweepCell, _bracket, _residual, _verified
+from netinstab.spectral import RESIDUAL_RTOL, ZERO_RTOL, SweepCell, _residual, _unit, _verified
 from netinstab import (
     BadMatrix,
     BadParameter,
@@ -122,8 +122,8 @@ def patch_fast_path(monkeypatch, fail_on=None):
     real = netinstab.spectral._resolvent_solver
     counts = {"solvers": 0, "calls": 0, "failed": 0}
 
-    def solver(w, base, vecs):
-        inner = real(w, base, vecs)
+    def solver(w, base, vecs, unit):
+        inner = real(w, base, vecs, unit)
         if inner is None:
             return None
         counts["solvers"] += 1
@@ -156,6 +156,23 @@ def count_svds(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", norm)
     return calls
+
+
+def sweep_brackets(graph, deltas):
+    """The sweep's table, and each (m, units) it hands `_verified` with units given: the
+    delta = 0 solve's (`_unit(m)`, `_unit(m)`), and the fast path's bracket of every cell
+    that reaches the test."""
+    real, seen = netinstab.spectral._verified, []
+
+    def spy(m, vals, residual, units=None):
+        if units is not None:
+            seen.append((np.array(m), units))
+        return real(m, vals, residual, units)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netinstab.spectral, "_verified", spy)
+        table = perturbation_sweep(graph, deltas)
+    return table, seen
 
 
 def pattern_weights(n, seed, density=0.3):
@@ -517,8 +534,40 @@ class TestSweep:
 
 
 class TestNormBracket:
-    """The fast path runs each check at both ends of `_bracket`'s bounds on
-    max(1, ||m||_2), and takes the SVD only where a check reads differently at the two."""
+    """The fast path runs each check at both ends of a bracket on max(1, ||m||_2) that it
+    builds from W's, delta and column j, and takes the SVD only where a check reads
+    differently at the two."""
+
+    @given(
+        seed=st.integers(0, 100_000),
+        n=st.integers(1, 64),
+        density=st.floats(0.02, 1.0),
+        exponent=st.one_of(st.floats(-6, 6), st.just(200.0)),
+        delta=st.floats(-3, 3).filter(lambda d: d != 0.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_bracket_holds_every_cells_unit(self, seed, n, density, exponent, delta):
+        # the bracket must hold the unit `_unit(m)` computes, not only the exact one
+        scale = 10.0**exponent
+        weights = scale * random_signed_digraph_weights(np.random.default_rng(seed), n, density)
+        _, seen = sweep_brackets(SignedWeightedDigraph(weights=weights), [scale * delta])
+        for m, (lo, hi) in seen:
+            assert lo <= _unit(m) <= hi
+
+    def test_bracket_holds_the_unit_where_delta_cancels_a_column(self):
+        # column 6 is -1e16, which delta = 1e16 zeroes: ||m||_2 is near 7.4 where ||W||_2 and
+        # |delta| sqrt(n) are near 3.5e16, and the SVD's 2-norm of W can land 8 above the latter
+        # (it does with numpy 2.4's OpenBLAS), so a margin relative to the lower end would
+        # leave that end at 8
+        w = random_signed_digraph_weights(np.random.default_rng(0), 12, density=1.0)
+        w[:, 6] = -1e16
+        graph = SignedWeightedDigraph(weights=w)
+        table, seen = sweep_brackets(graph, [1e16])
+        cell = shifted(graph, 6, 1e16)
+        assert any(np.array_equal(m, cell) for m, _ in seen)  # the cell reached the test
+        for m, (lo, hi) in seen:
+            assert lo <= _unit(m) <= hi
+        assert table.cells == column_by_column_sweep(graph, table.deltas)
 
     @given(
         seed=st.integers(0, 100_000),
@@ -617,7 +666,7 @@ class TestNormBracket:
         m = np.diag([3.0, real_part, 1.0])
         vals, vecs = np.linalg.eig(m)
         svds = count_svds(monkeypatch)
-        got = acceptance(m, vals, vecs, _bracket(m))
+        got = acceptance(m, vals, vecs, (2.0, 4.0))  # around the unit 3
         assert len(svds) == 1
         assert got == eigenvalues(m)
         assert largest_negative_eigenvalue(got) == (None if real_part == -(ZERO_RTOL * 3.0) else real_part)
@@ -628,9 +677,10 @@ class TestNormBracket:
         m = 3.0 * random_signed_digraph_weights(np.random.default_rng(4), 8, density=1.0)
         vals, vecs = np.linalg.eig(m)
         k = int(np.flatnonzero(vals.imag == 0)[0])
-        vals[k] += factor * RESIDUAL_RTOL * max(1.0, np.linalg.norm(m, 2))
+        unit = max(1.0, np.linalg.norm(m, 2))
+        vals[k] += factor * RESIDUAL_RTOL * unit
         svds = count_svds(monkeypatch)
-        got = acceptance(m, vals, vecs, _bracket(m))
+        got = acceptance(m, vals, vecs, (0.99 * unit, 1.01 * unit))
         assert len(svds) == 1
         assert got == acceptance(m, vals, vecs, None)
         assert isinstance(got, EigenSet) == (factor < 1)
@@ -644,19 +694,19 @@ class TestNormBracket:
         m = q @ np.diag([10.0, 10.0 - 1e-5 * factor, 1.0, 2.0]) @ q.T
         vals, vecs = np.array([10.0, 10.0, 1.0, 2.0]), q[:, [0, 0, 2, 3]]
         svds = count_svds(monkeypatch)
-        got = acceptance(m, vals, vecs, _bracket(m))
+        got = acceptance(m, vals, vecs, (9.9, 10.1))  # around the unit 10
         assert len(svds) == 1
         assert got == acceptance(m, vals, vecs, None)
         assert isinstance(got, EigenSet) == (factor < 1)
 
-    def test_overflowing_bracket_takes_the_svd(self, monkeypatch):
-        # entries near 1e200 overflow the squares of the Frobenius norm, though not ||m||_2
+    def test_cells_at_1e200_take_only_the_baseline_svd(self, monkeypatch):
+        # entries near 1e200 overflow the squares of a Frobenius norm, though not ||m||_2;
+        # the bracket takes no squares but those of column j scaled by its largest entry
         graph = SignedWeightedDigraph(weights=1e200 * dense_graph(5).weights)
-        assert _bracket(shifted(graph, 0, 0.5e200)) is None
         fast = patch_fast_path(monkeypatch)
         svds = count_svds(monkeypatch)
         table = perturbation_sweep(graph, [0.5e200])
-        assert len(svds) == 1 + graph.n and fast["failed"] == 0
+        assert len(svds) == 1 and fast["failed"] == 0
         assert {cell.status for cell in table.cells.values()} == {"ok"}
         assert table.cells == column_by_column_sweep(graph, table.deltas)
 
@@ -689,8 +739,8 @@ class TestResidualBound:
         rng = np.random.default_rng(seed)
         w = scale * random_signed_digraph_weights(rng, n, density)
         node, delta = int(rng.integers(n)), scale * delta
-        base, vecs = netinstab.spectral._eigenpairs(w)
-        solve = netinstab.spectral._resolvent_solver(w, base, vecs)
+        base, vecs, unit = netinstab.spectral._eigenpairs(w)
+        solve = netinstab.spectral._resolvent_solver(w, base, vecs, unit)
         assume(solve is not None)
         m = shifted(SignedWeightedDigraph(weights=w), node, delta)
         try:
@@ -716,7 +766,7 @@ class TestResidualBound:
         # so that only the one term grows: with V' and a' in place of V and a, the resolvent
         # vectors are eigenvectors of V' Lambda V'^-1 + delta 1 e_j^T and of W + delta V a' e_j^T
         w, (node, delta) = pattern_weights(48, 0), (5, 1.5)
-        base, vecs = netinstab.spectral._eigenpairs(w)
+        base, vecs, unit = netinstab.spectral._eigenpairs(w)
         m = shifted(SignedWeightedDigraph(weights=w), node, delta)
         exact = built_residual(w, base, vecs, m, np.linalg.eigvals(m))
         noise, column = np.random.default_rng(0).normal(size=(2, 48, 48)), np.eye(48)[node]
@@ -736,7 +786,7 @@ class TestResidualBound:
             monkeypatch.setattr(np.linalg, "inv", lambda _: x)
             values = eigvals(w + delta * np.outer(vecs @ a, column))
         monkeypatch.setattr(np.linalg, "eigvals", lambda _: values)
-        es = netinstab.spectral._resolvent_solver(w, base, vecs)(m, node, delta)
+        es = netinstab.spectral._resolvent_solver(w, base, vecs, unit)(m, node, delta)
         built = built_residual(w, base, vecs, m, values)
         assert built > 10 * exact
         assert es.residual_bound >= built
@@ -751,7 +801,7 @@ class TestResidualBound:
         w[4:, 4:] = [[-1.0, 0.3], [0.2, -2.0]]
         graph = SignedWeightedDigraph(weights=w)
         deltas = [0.5, 1.0]
-        base, vecs = netinstab.spectral._eigenpairs(w)
+        base, vecs, _ = netinstab.spectral._eigenpairs(w)
         for node in range(6):
             for delta in deltas:
                 m = shifted(graph, node, delta)
